@@ -1,5 +1,6 @@
 #include "check/kernel_checks.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include "check/generators.h"
 #include "digital/fault_sim.h"
 #include "digital/faults.h"
+#include "digital/sim.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/oscillator.h"
@@ -576,8 +578,9 @@ struct FaultSimCase {
 };
 
 // Random DAG of gates with a few DFFs, same shape as the randomized property
-// tests (tests/test_random_circuits.cpp).
-FaultSimCase random_fault_sim_case(stats::Rng& rng) {
+// tests (tests/test_random_circuits.cpp). Returns the net pool too.
+FaultSimCase random_fault_sim_case(stats::Rng& rng,
+                                   std::vector<digital::NetId>* nets = nullptr) {
   FaultSimCase c;
   const std::size_t inputs = 4 + rng.uniform_int(3);
   const std::size_t gates = 40 + rng.uniform_int(81);
@@ -612,6 +615,7 @@ FaultSimCase random_fault_sim_case(stats::Rng& rng) {
     c.stimulus.push_back(static_cast<std::int64_t>(rng.uniform_int(2 * hi)) - hi);
   }
   c.faults = digital::collapsed_faults(c.nl);
+  if (nets != nullptr) *nets = std::move(pool);
   return c;
 }
 
@@ -656,6 +660,114 @@ Report check_simd_fault_sim_wide_vs_64(const RunOptions& opts) {
       Tolerance::bit_identical(), opts);
 }
 
+namespace {
+
+// A random circuit observed through output buses of widths 1, 63, 64 (the
+// sign-extension edges) and one random width, against a fault list whose
+// length is never a multiple of 64, so the last machine group is partial.
+struct CaptureCase {
+  FaultSimCase sim;
+  std::vector<digital::Bus> outs;
+};
+
+CaptureCase random_capture_case(stats::Rng& rng) {
+  CaptureCase c;
+  std::vector<digital::NetId> nets;
+  c.sim = random_fault_sim_case(rng, &nets);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                  2 + rng.uniform_int(61)}) {
+    digital::Bus bus;
+    for (std::size_t b = 0; b < width; ++b) {
+      bus.bits.push_back(nets[rng.uniform_int(nets.size())]);
+    }
+    c.outs.push_back(std::move(bus));
+  }
+  // Sampled with replacement: up to a few 512-machine batches.
+  const std::size_t count = 64 * rng.uniform_int(19) + 1 + rng.uniform_int(63);
+  std::vector<digital::Fault> faults;
+  for (std::size_t i = 0; i < count; ++i) {
+    faults.push_back(c.sim.faults[rng.uniform_int(c.sim.faults.size())]);
+  }
+  c.sim.faults = std::move(faults);
+  return c;
+}
+
+// Each sample as two exactly representable halves, so a 64-bit value
+// survives the comparator's doubles bit for bit.
+void push_sample(std::vector<double>& out, std::int64_t v) {
+  out.push_back(static_cast<double>(static_cast<std::uint32_t>(v)));
+  out.push_back(static_cast<double>(static_cast<std::int32_t>(v >> 32)));
+}
+
+}  // namespace
+
+Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts) {
+  using Case = CaptureCase;
+  return differential<Case>(
+      "fault_sim_capture_vs_bus_value",
+      [](stats::Rng& rng) { return random_capture_case(rng); },
+      [](const Case& c, stats::Rng&) {
+        std::vector<double> out;
+        for (const digital::Bus& bus : c.outs) {
+          std::vector<std::vector<std::int64_t>> streams(c.sim.faults.size());
+          digital::FaultSimOptions fo;
+          fo.machine_words = 0;  // active backend width
+          fo.threads = 1;
+          fo.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w) {
+            streams[i].assign(w.begin(), w.end());
+          };
+          const auto r = digital::simulate_faults(c.sim.nl, c.sim.in, bus, c.sim.stimulus,
+                                                  c.sim.faults, fo);
+          for (const std::int64_t v : r.good_waveform) push_sample(out, v);
+          for (const auto& s : streams) {
+            for (const std::int64_t v : s) push_sample(out, v);
+          }
+        }
+        return out;
+      },
+      [](const Case& c, stats::Rng&) {
+        // One bus_value() per machine per cycle, on the same batch
+        // partition as the fast side.
+        const std::size_t words = static_cast<std::size_t>(simd::kernels().fault_words);
+        const std::size_t per_batch = 64 * words - 1;
+        std::vector<double> out;
+        for (const digital::Bus& bus : c.outs) {
+          std::vector<std::vector<std::int64_t>> streams(c.sim.faults.size());
+          std::vector<std::int64_t> good;
+          for (std::size_t base = 0; base < c.sim.faults.size(); base += per_batch) {
+            const std::size_t batch = std::min(per_batch, c.sim.faults.size() - base);
+            digital::ParallelSimulator sim(c.sim.nl, words);
+            for (std::size_t i = 0; i < batch; ++i) {
+              sim.inject(c.sim.faults[base + i], static_cast<int>(i + 1));
+            }
+            for (const std::int64_t x : c.sim.stimulus) {
+              sim.set_bus(c.sim.in, x);
+              sim.eval();
+              if (base == 0) good.push_back(sim.bus_value(bus, 0));
+              for (std::size_t i = 0; i < batch; ++i) {
+                streams[base + i].push_back(sim.bus_value(bus, static_cast<int>(i + 1)));
+              }
+              sim.clock();
+            }
+          }
+          for (const std::int64_t v : good) push_sample(out, v);
+          for (const auto& s : streams) {
+            for (const std::int64_t v : s) push_sample(out, v);
+          }
+        }
+        return out;
+      },
+      [](const Case& c, obs::json::Writer& w) {
+        w.kv("nets", static_cast<std::uint64_t>(c.sim.nl.num_nets()));
+        w.kv("faults", static_cast<std::uint64_t>(c.sim.faults.size()));
+        w.kv("cycles", static_cast<std::uint64_t>(c.sim.stimulus.size()));
+        w.kv("random_width", static_cast<std::uint64_t>(c.outs.back().width()));
+        w.kv("fault_words", static_cast<std::uint64_t>(simd::kernels().fault_words));
+      },
+      // Exact logic on both sides: any difference is a decoding bug.
+      Tolerance::bit_identical(), opts);
+}
+
 std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
   return {
       check_fft_plan_vs_naive_dft(opts),
@@ -670,6 +782,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_simd_biquad_vs_scalar(opts),
       check_simd_add_cosine_vs_scalar(opts),
       check_simd_fault_sim_wide_vs_64(opts),
+      check_fault_sim_capture_vs_bus_value(opts),
   };
 }
 

@@ -17,6 +17,8 @@
 //   evaluate_test_mc on 4 threads   | evaluate_test_mc on 1 thread
 //   analytic evaluate_test at       | evaluate_test_mc (large trial count)
 //     guard-banded thresholds       |
+//   simulate_faults' bit-plane      | one ParallelSimulator::bus_value per
+//     stream capture (active width) |   machine per cycle, same batches
 //
 // The last pair is the regression net for the guard-band yield-integration
 // fix: with the threshold cuts missing from the integration grid, the
@@ -37,6 +39,7 @@ Report check_path_workspace_vs_allocating_run(const RunOptions& opts = {});
 Report check_path_graph_vs_receiver_path(const RunOptions& opts = {});
 Report check_parallel_mc_vs_serial(const RunOptions& opts = {});
 Report check_guard_band_analytic_vs_mc(const RunOptions& opts = {});
+Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts = {});
 
 // SIMD backend vs forced-scalar pairs (base/simd.h). The reference side runs
 // the SAME public API under simd::ScopedIsa(kScalar) — the scalar backend is

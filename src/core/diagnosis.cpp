@@ -54,17 +54,16 @@ FaultDictionary::FaultDictionary(const DigitalTester& tester,
                                  std::span<const digital::Fault> faults)
     : tester_(tester), plan_(plan) {
   MSTS_REQUIRE(stimulus_codes.size() == plan.record, "stimulus length mismatch");
+  // Signatures are built on the workers as the streams arrive, keyed by
+  // fault index; no fault's waveform outlives its batch.
+  entries_.resize(faults.size());
   digital::FaultSimOptions opts;
-  opts.capture_waveforms = true;
-  const auto sim = digital::simulate_faults(tester.netlist(), tester.input_bus(),
-                                            tester.output_bus(), stimulus_codes,
-                                            faults, opts);
-  entries_.reserve(faults.size());
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    FaultSignature sig = signature_of(sim.waveforms[i]);
-    sig.fault = faults[i];
-    entries_.push_back(std::move(sig));
-  }
+  opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> waveform) {
+    entries_[i] = signature_of(waveform);
+    entries_[i].fault = faults[i];
+  };
+  digital::simulate_faults(tester.netlist(), tester.input_bus(), tester.output_bus(),
+                           stimulus_codes, faults, opts);
 }
 
 std::vector<DiagnosisCandidate> FaultDictionary::diagnose(

@@ -264,21 +264,23 @@ DigitalTester::SpectralOutcome DigitalTester::spectral_campaign(
     return false;
   };
 
+  // Each fault's verdict is taken on the worker that simulated it, straight
+  // from the streamed waveform, into an index-keyed byte (vector<bool> would
+  // pack neighbouring faults into one shared word).
+  std::vector<std::uint8_t> flags(faults.size(), 0);
   digital::FaultSimOptions opts;
-  opts.capture_waveforms = true;
+  opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> waveform) {
+    flags[i] = flagged(waveform) ? 1 : 0;
+  };
   const auto sim = digital::simulate_faults(expanded_, input_, output_, stimulus_codes,
                                             faults, opts);
 
   SpectralOutcome out;
   out.good_circuit_flagged = flagged(sim.good_waveform);
   out.result.total = faults.size();
-  out.result.detected_flags.assign(faults.size(), false);
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (flagged(sim.waveforms[i])) {
-      out.result.detected_flags[i] = true;
-      ++out.result.detected;
-    }
-  }
+  out.result.detected_flags.assign(flags.begin(), flags.end());
+  out.result.detected = static_cast<std::size_t>(
+      std::count(flags.begin(), flags.end(), std::uint8_t{1}));
   return out;
 }
 

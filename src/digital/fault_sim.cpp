@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 #include "base/require.h"
 #include "base/simd.h"
@@ -18,6 +19,58 @@ double FaultSimResult::coverage() const {
   const auto hits = static_cast<double>(std::count(detected.begin(), detected.end(), true));
   return hits / static_cast<double>(faults.size());
 }
+
+namespace {
+
+// Bit-plane capture of one simulator's output bus over a stimulus: row t
+// holds the bus planes of cycle t (ParallelSimulator::capture_planes), and
+// for_each_stream() transposes them into per-machine streams.
+class StreamCapture {
+ public:
+  StreamCapture(const Bus& output, std::size_t cycles, std::size_t words)
+      : output_(output),
+        cycles_(cycles),
+        words_(words),
+        row_(output.width() * words),
+        planes_(cycles * row_) {}
+
+  void record(const ParallelSimulator& sim, std::size_t t) {
+    sim.capture_planes(output_, planes_.data() + t * row_);
+  }
+
+  // Calls emit(machine, stream) for machines first..last in ascending
+  // order, decoding 64 machines at a time into a reused stream buffer.
+  template <typename Emit>
+  void for_each_stream(std::size_t first, std::size_t last, Emit&& emit) const {
+    // Rows are padded by one cache line so the 64 streams written in
+    // lockstep do not all map to the same cache sets.
+    const std::size_t stride = cycles_ + 8;
+    std::vector<std::int64_t> streams(std::min<std::size_t>(64, last - first + 1) * stride);
+    std::int64_t values[64];
+    for (std::size_t g = first / 64; g <= last / 64; ++g) {
+      const std::size_t lo = std::max(first, 64 * g) - 64 * g;
+      const std::size_t hi = std::min(last, 64 * g + 63) - 64 * g;
+      for (std::size_t t = 0; t < cycles_; ++t) {
+        ParallelSimulator::group_bus_values(planes_.data() + t * row_, output_.width(),
+                                            words_, g, values);
+        for (std::size_t j = lo; j <= hi; ++j) streams[(j - lo) * stride + t] = values[j];
+      }
+      for (std::size_t j = lo; j <= hi; ++j) {
+        emit(64 * g + j,
+             std::span<const std::int64_t>(streams.data() + (j - lo) * stride, cycles_));
+      }
+    }
+  }
+
+ private:
+  const Bus& output_;
+  std::size_t cycles_;
+  std::size_t words_;
+  std::size_t row_;
+  std::vector<std::uint64_t> planes_;
+};
+
+}  // namespace
 
 FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& output,
                                std::span<const std::int64_t> stimulus,
@@ -41,15 +94,27 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
   // run concurrently (and end early under stop_at_first_detection).
   {
     ParallelSimulator sim(nl, 1);  // one machine suffices for the reference
-    result.good_waveform.reserve(stimulus.size());
-    for (std::int64_t x : stimulus) {
-      sim.set_bus(input, x);
+    StreamCapture capture(output, stimulus.size(), 1);
+    for (std::size_t t = 0; t < stimulus.size(); ++t) {
+      sim.set_bus(input, stimulus[t]);
       sim.eval();
-      result.good_waveform.push_back(sim.bus_value(output, 0));
+      capture.record(sim, t);
       sim.clock();
     }
+    capture.for_each_stream(0, 0, [&](std::size_t, std::span<const std::int64_t> s) {
+      result.good_waveform.assign(s.begin(), s.end());
+    });
   }
   if (faults.empty()) return result;
+
+  // Per-fault streams go to the caller's visitor and/or the waveform store.
+  const bool streamed = options.capture_waveforms || options.on_waveform;
+  auto emit = [&](std::size_t fault, std::span<const std::int64_t> stream) {
+    if (options.capture_waveforms) {
+      result.waveforms[fault].assign(stream.begin(), stream.end());
+    }
+    if (options.on_waveform) options.on_waveform(fault, stream);
+  };
 
   // Machines per simulator word group: 64 * W machines, machine 0 good,
   // machines 1..64W-1 carrying one fault each. W defaults to the active SIMD
@@ -79,11 +144,8 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
     for (std::size_t i = 0; i < batch; ++i) {
       sim.inject(faults[base + i], static_cast<int>(i + 1));
     }
-    if (options.capture_waveforms) {
-      for (std::size_t i = 0; i < batch; ++i) {
-        result.waveforms[base + i].reserve(stimulus.size());
-      }
-    }
+    std::optional<StreamCapture> capture;
+    if (streamed) capture.emplace(output, stimulus.size(), mwords);
 
     // Bits of machines 1..batch across the word group — the "every fault
     // detected" early-exit target.
@@ -93,8 +155,8 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
     }
 
     std::vector<std::uint64_t> detected_mask(mwords, 0);
-    for (std::int64_t x : stimulus) {
-      sim.set_bus(input, x);
+    for (std::size_t t = 0; t < stimulus.size(); ++t) {
+      sim.set_bus(input, stimulus[t]);
       sim.eval();
 
       // Exact compare: any output bit differing from machine 0 (bit 0 of
@@ -106,17 +168,11 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
           detected_mask[wi] |= w[wi] ^ good;
         }
       }
-
-      if (options.capture_waveforms) {
-        for (std::size_t i = 0; i < batch; ++i) {
-          result.waveforms[base + i].push_back(
-              sim.bus_value(output, static_cast<int>(i + 1)));
-        }
-      }
+      if (capture) capture->record(sim, t);
 
       sim.clock();
 
-      if (options.stop_at_first_detection && !options.capture_waveforms) {
+      if (options.stop_at_first_detection && !streamed) {
         // All faults in this batch already detected: nothing more to learn.
         bool all = true;
         for (std::size_t wi = 0; wi < mwords; ++wi) {
@@ -127,6 +183,11 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
     }
     std::copy(detected_mask.begin(), detected_mask.end(),
               batch_masks.begin() + bi * mwords);
+    if (capture) {
+      capture->for_each_stream(1, batch, [&](std::size_t m, std::span<const std::int64_t> s) {
+        emit(base + m - 1, s);
+      });
+    }
     if (traced) {
       const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                                std::chrono::steady_clock::now() - t0)

@@ -1,17 +1,37 @@
 // Parallel stuck-at fault simulation driver.
 //
-// Runs the fault universe in batches of 63 faulty machines plus the good
-// machine (bit 0) against a broadcast stimulus sequence. Two observation
-// styles, matching the paper's two detection regimes:
+// Runs the fault universe in batches of 64 * machine_words - 1 faulty
+// machines plus the good machine (bit 0) against a broadcast stimulus
+// sequence. Two observation styles, matching the paper's two detection
+// regimes:
 //  * exact compare — a fault is detected when any output bit differs from
 //    the good machine in any cycle (the "exact inputs known" regime of
 //    sec. 5's 89.6 % / 95.5 % coverage figures);
-//  * waveform capture — the per-fault output sample streams are returned so
-//    a spectral detector (core/digital_test.h) can compare output spectra
-//    within a noise-derived tolerance, the paper's translated-test regime.
+//  * streamed output — each fault's output sample stream is handed to a
+//    visitor, so a spectral detector (core/digital_test.h) can compare
+//    output spectra within a noise-derived tolerance, the paper's
+//    translated-test regime.
+//
+// Streaming contract (FaultSimOptions::on_waveform):
+//  * Capture is per batch. Each cycle the worker copies the output bus
+//    words into a batch-local bit-plane buffer; when the batch ends,
+//    64x64 bit-matrix transposes turn it into per-machine streams, 64
+//    machines at a time. Nothing outlives the batch, so memory is bounded
+//    by the batches in flight, never by the fault count.
+//  * The visitor runs on the worker threads, concurrently with itself,
+//    exactly once per fault index (the index into `faults`). It must
+//    confine its writes to per-index state.
+//  * The stream is valid only for the duration of the call.
+//  * Batches run in any order; within a batch, indices ascend. Results
+//    keyed by index are therefore identical at every thread count.
+//  * A throwing visitor ends its batch; simulate_faults rethrows the
+//    exception of the lowest failing fault index.
+// capture_waveforms is a thin user of the same path: it stores every
+// stream in FaultSimResult::waveforms.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -24,7 +44,12 @@ namespace msts::digital {
 /// What simulate_faults should record.
 struct FaultSimOptions {
   bool capture_waveforms = false;  ///< Keep per-fault output streams.
-  bool stop_at_first_detection = false;  ///< Exact compare may end a batch early.
+  /// Called on a worker thread with each fault's output stream (one sample
+  /// per stimulus cycle); see the streaming contract above.
+  std::function<void(std::size_t fault_index, std::span<const std::int64_t> waveform)>
+      on_waveform;
+  /// Exact compare may end a batch early (ignored while streams are taken).
+  bool stop_at_first_detection = false;
   /// Batches run concurrently, each on its own simulator instance; the
   /// result is identical for every thread count (the batch partition is
   /// fixed and there is no randomness). > 0 forces a count; 0 defers to

@@ -23,6 +23,31 @@ const simd::Kernels* kernels_for_words(std::size_t words) {
   return &simd::kernels_for(simd::Isa::kScalar);
 }
 
+// One stage of the 64x64 bit-matrix transpose: within every 2J x 2J block,
+// swap the off-diagonal J x J sub-blocks (rows k and k + J, the bits `M`
+// selects). Fixed J and M let the compiler unroll and vectorise each stage.
+template <std::size_t J, std::uint64_t M>
+void transpose_stage(std::uint64_t a[64]) {
+  for (std::size_t base = 0; base < 64; base += 2 * J) {
+    for (std::size_t k = base; k < base + J; ++k) {
+      const std::uint64_t t = ((a[k] >> J) ^ a[k + J]) & M;
+      a[k] ^= t << J;
+      a[k + J] ^= t;
+    }
+  }
+}
+
+// In-place transpose of a 64x64 bit matrix, element (r, c) = bit c of a[r]:
+// the block swaps at every scale from 32x32 down to 1x1.
+void transpose64(std::uint64_t a[64]) {
+  transpose_stage<32, 0x00000000FFFFFFFFull>(a);
+  transpose_stage<16, 0x0000FFFF0000FFFFull>(a);
+  transpose_stage<8, 0x00FF00FF00FF00FFull>(a);
+  transpose_stage<4, 0x0F0F0F0F0F0F0F0Full>(a);
+  transpose_stage<2, 0x3333333333333333ull>(a);
+  transpose_stage<1, 0x5555555555555555ull>(a);
+}
+
 bool is_source(GateType t) {
   return t == GateType::kInput || t == GateType::kDff ||
          t == GateType::kConst0 || t == GateType::kConst1;
@@ -159,6 +184,27 @@ std::int64_t ParallelSimulator::bus_value(const Bus& bus, int machine) const {
     raw |= ~0ull << w;
   }
   return static_cast<std::int64_t>(raw);
+}
+
+void ParallelSimulator::capture_planes(const Bus& bus, std::uint64_t* planes) const {
+  for (std::size_t b = 0; b < bus.width(); ++b) {
+    std::copy_n(values_.data() + bus.bits[b] * words_, words_, planes + b * words_);
+  }
+}
+
+void ParallelSimulator::group_bus_values(const std::uint64_t* planes, std::size_t width,
+                                         std::size_t words, std::size_t group,
+                                         std::int64_t out[64]) {
+  MSTS_REQUIRE(width >= 1 && width <= 64, "bus width must be 1..64");
+  MSTS_REQUIRE(group < words, "machine group out of range");
+  std::uint64_t m[64] = {};
+  for (std::size_t b = 0; b < width; ++b) m[b] = planes[b * words + group];
+  transpose64(m);
+  // Sign-extend from bit width-1; the identity when width is 64.
+  const std::uint64_t sign = 1ull << (width - 1);
+  for (std::size_t j = 0; j < 64; ++j) {
+    out[j] = static_cast<std::int64_t>((m[j] ^ sign) - sign);
+  }
 }
 
 }  // namespace msts::digital

@@ -84,6 +84,20 @@ class ParallelSimulator {
   /// Two's-complement integer carried by `bus` in one machine.
   std::int64_t bus_value(const Bus& bus, int machine) const;
 
+  /// Copies the words of every bit of `bus` (after eval()) into `planes`,
+  /// side by side: plane b is the words() uint64s at planes + b * words(),
+  /// bus bit b of every machine. Cheap enough to call every cycle; decode
+  /// with group_bus_values().
+  void capture_planes(const Bus& bus, std::uint64_t* planes) const;
+
+  /// bus_value() for 64 machines at once: from the `width` planes (1..64)
+  /// written by capture_planes() at `words` words per net, writes the
+  /// sign-extended value of machine 64 * group + j into out[j], j < 64,
+  /// with one 64x64 bit-matrix transpose.
+  static void group_bus_values(const std::uint64_t* planes, std::size_t width,
+                               std::size_t words, std::size_t group,
+                               std::int64_t out[64]);
+
   const Netlist& netlist() const { return netlist_; }
 
  private:

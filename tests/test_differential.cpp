@@ -352,11 +352,21 @@ TEST(KernelChecks, SimdFaultSimBitIdenticalAcrossWidths) {
   EXPECT_EQ(r.worst.max_ulp, 0.0);
 }
 
+TEST(KernelChecks, FaultSimCaptureBitIdenticalToBusValue) {
+  // Every fault's streamed output, decoded from bit planes, equals the
+  // per-machine bus_value() capture — at output widths 1, 63 and 64 and
+  // with a partial last machine group.
+  const check::Report r = check::check_fault_sim_capture_vs_bus_value();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.worst.max_abs, 0.0);
+  EXPECT_EQ(r.worst.max_ulp, 0.0);
+}
+
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all twelve pairs
+  opts.cases = 2;  // smoke pass over all thirteen pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 12u);
+  ASSERT_EQ(reports.size(), 13u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);

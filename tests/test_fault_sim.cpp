@@ -8,6 +8,7 @@
 #include "base/units.h"
 #include "digital/fir.h"
 #include "dsp/fir_design.h"
+#include "dsp/spectrum.h"
 #include "stats/rng.h"
 
 namespace msts::digital {
@@ -170,6 +171,87 @@ TEST(FaultSim, ResultIdenticalAcrossThreadCounts) {
     EXPECT_EQ(rt.detected, r1.detected) << threads << " threads";
     EXPECT_EQ(rt.good_waveform, r1.good_waveform) << threads << " threads";
     EXPECT_EQ(rt.waveforms, r1.waveforms) << threads << " threads";
+  }
+}
+
+TEST(FaultSim, StreamedVerdictsIdenticalAcrossThreadCounts) {
+  // A visitor that runs a spectrum per fault on the worker threads, keyed
+  // by fault index, must give what the stored-waveform path gives at every
+  // thread count, and must see every fault index exactly once.
+  const auto h = dsp::design_lowpass(5, 0.2);
+  const auto q = dsp::quantize_coefficients(h, 6);
+  const FirCircuit fir = build_fir(q, 6, 6);
+  const Netlist nl = fir.netlist.with_explicit_branches();
+  Bus in, out;
+  for (std::size_t i = 0; i < fir.input.width(); ++i) in.bits.push_back(nl.inputs()[i]);
+  for (std::size_t i = 0; i < fir.output.width(); ++i) out.bits.push_back(nl.outputs()[i]);
+
+  stats::Rng rng(8);
+  std::vector<std::int64_t> stim;
+  for (int i = 0; i < 64; ++i) {
+    stim.push_back(static_cast<std::int64_t>(rng.uniform_int(64)) - 32);
+  }
+  auto faults = collapsed_faults(nl);
+  ASSERT_GT(faults.size(), 126u);  // at least three 64-machine batches
+
+  auto powers = [](std::span<const std::int64_t> w) {
+    const std::vector<double> x(w.begin(), w.end());
+    const dsp::Spectrum spec(x, 1.0, dsp::WindowType::kBlackmanHarris4);
+    std::vector<double> p;
+    for (std::size_t k = 0; k < spec.num_bins(); ++k) p.push_back(spec.power_db(k));
+    return p;
+  };
+
+  FaultSimOptions stored;
+  stored.capture_waveforms = true;
+  stored.machine_words = 1;
+  const auto r = simulate_faults(nl, in, out, stim, faults, stored);
+  std::vector<std::vector<double>> expected;
+  for (const auto& w : r.waveforms) expected.push_back(powers(w));
+
+  for (const int threads : {1, 2, 8}) {
+    std::vector<std::vector<double>> got(faults.size());
+    std::vector<int> visits(faults.size(), 0);
+    FaultSimOptions opts;
+    opts.threads = threads;
+    opts.machine_words = 1;
+    opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w) {
+      ++visits[i];
+      got[i] = powers(w);
+    };
+    const auto rs = simulate_faults(nl, in, out, stim, faults, opts);
+    EXPECT_TRUE(rs.waveforms.empty());
+    EXPECT_EQ(rs.detected, r.detected) << threads << " threads";
+    EXPECT_EQ(visits, std::vector<int>(faults.size(), 1)) << threads << " threads";
+    EXPECT_EQ(got, expected) << threads << " threads";
+  }
+}
+
+TEST(FaultSim, VisitorExceptionResolvesToLowestFailingIndex) {
+  const auto h = dsp::design_lowpass(5, 0.2);
+  const auto q = dsp::quantize_coefficients(h, 6);
+  const FirCircuit fir = build_fir(q, 6, 6);
+  const Netlist nl = fir.netlist.with_explicit_branches();
+  Bus in, out;
+  for (std::size_t i = 0; i < fir.input.width(); ++i) in.bits.push_back(nl.inputs()[i]);
+  for (std::size_t i = 0; i < fir.output.width(); ++i) out.bits.push_back(nl.outputs()[i]);
+  const std::vector<std::int64_t> stim = {3, -7, 12, 0, 5, -1};
+  const auto faults = collapsed_faults(nl);
+  ASSERT_GT(faults.size(), 200u);
+
+  for (const int threads : {1, 4}) {
+    FaultSimOptions opts;
+    opts.threads = threads;
+    opts.machine_words = 1;
+    opts.on_waveform = [](std::size_t i, std::span<const std::int64_t>) {
+      if (i == 70 || i == 71 || i == 200) throw std::runtime_error(std::to_string(i));
+    };
+    try {
+      simulate_faults(nl, in, out, stim, faults, opts);
+      ADD_FAILURE() << "visitor exception swallowed at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "70") << threads << " threads";
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "digital/builder.h"
+#include "stats/rng.h"
 
 namespace msts::digital {
 namespace {
@@ -169,6 +170,41 @@ TEST(ParallelSimulator, BusRoundTripTwosComplement) {
     sim.eval();
     EXPECT_EQ(sim.bus_value(bus, 0), v);
     EXPECT_EQ(sim.bus_value(bus, 63), v);
+  }
+}
+
+TEST(ParallelSimulator, GroupBusValuesMatchBusValueForEveryMachine) {
+  // Random stuck-at faults on the input nets give every machine its own bus
+  // value; the transposed planes must decode to bus_value() in all of them,
+  // including the sign-extension edges at widths 1, 63 and 64.
+  Netlist nl;
+  Bus x;
+  for (int i = 0; i < 64; ++i) x.bits.push_back(nl.add_input("x" + std::to_string(i)));
+  stats::Rng rng(11);
+  for (const std::size_t words : {1u, 4u, 8u}) {
+    for (const std::size_t width : {1u, 26u, 63u, 64u}) {
+      Bus bus;
+      bus.bits.assign(x.bits.begin(), x.bits.begin() + static_cast<std::ptrdiff_t>(width));
+      ParallelSimulator sim(nl, words);
+      for (int m = 0; m < static_cast<int>(sim.machines()); ++m) {
+        for (int k = 0; k < 8; ++k) {
+          sim.inject(Fault{x.bits[rng.uniform_int(width)], rng.uniform() < 0.5}, m);
+        }
+      }
+      sim.set_bus(x, static_cast<std::int64_t>(rng.next_u64()));
+      sim.eval();
+      std::vector<std::uint64_t> planes(width * words);
+      sim.capture_planes(bus, planes.data());
+      std::int64_t values[64];
+      for (std::size_t g = 0; g < words; ++g) {
+        ParallelSimulator::group_bus_values(planes.data(), width, words, g, values);
+        for (std::size_t j = 0; j < 64; ++j) {
+          const int m = static_cast<int>(64 * g + j);
+          ASSERT_EQ(values[j], sim.bus_value(bus, m))
+              << "words " << words << " width " << width << " machine " << m;
+        }
+      }
+    }
   }
 }
 
