@@ -1,7 +1,8 @@
 // Schema validator for the BENCH_*.json files emitted by obs::BenchReport.
 // The bench_smoke CTest label runs every bench at reduced scale and then
 // this tool over the emitted file; a malformed or incomplete report fails
-// the test. Usage: bench_validate BENCH_<name>.json...
+// the test, as does a traced report whose span sections are malformed.
+// Usage: bench_validate BENCH_<name>.json...
 //
 // --trace switches to validating Chrome/Perfetto trace-event files (the
 // MSTS_TRACE_PATH export from obs/span.h): a traceEvents array whose "X"
@@ -35,6 +36,50 @@ std::string number_problem(const Value* v) {
   if (v == nullptr) return "missing";
   if (v->is_null()) return "null (a non-finite value was serialized as null)";
   return "not a number";
+}
+
+// The span sections a traced run adds (see obs/bench_report.h): either all
+// three are present or none. "spans" / "spans_dropped" are counts; every
+// span_stages entry is a named stage seen at least once, with numeric
+// timings whose quantiles are ordered p50 <= p99 <= max.
+bool validate_spans(const char* path, const Value& doc) {
+  const Value* stages = doc.find("span_stages");
+  if (stages == nullptr && doc.find("spans") == nullptr &&
+      doc.find("spans_dropped") == nullptr) {
+    return true;
+  }
+  for (const char* key : {"spans", "spans_dropped"}) {
+    const Value* v = doc.find(key);
+    if (!is_number(v) || v->number < 0.0) {
+      return fail(path, std::string("'") + key + "' is " + number_problem(v));
+    }
+  }
+  if (stages == nullptr || !stages->is_array()) {
+    return fail(path, "missing or invalid 'span_stages'");
+  }
+  for (const Value& s : stages->array) {
+    if (!s.is_object()) return fail(path, "span_stages entry is not an object");
+    const Value* name = s.find("name");
+    if (name == nullptr || !name->is_string() || name->string.empty()) {
+      return fail(path, "span_stages entry missing 'name'");
+    }
+    const std::string stage = "span stage '" + name->string + "': ";
+    for (const char* key :
+         {"count", "total_ns", "min_ns", "max_ns", "p50_ns", "p99_ns"}) {
+      const Value* v = s.find(key);
+      if (!is_number(v)) {
+        return fail(path, stage + "'" + key + "' is " + number_problem(v));
+      }
+    }
+    if (s.find("count")->number < 1.0) return fail(path, stage + "'count' < 1");
+    const double p50 = s.find("p50_ns")->number;
+    const double p99 = s.find("p99_ns")->number;
+    const double max = s.find("max_ns")->number;
+    if (!(p50 <= p99 && p99 <= max)) {
+      return fail(path, stage + "quantiles out of order (want p50_ns <= p99_ns <= max_ns)");
+    }
+  }
+  return true;
 }
 
 bool validate(const char* path) {
@@ -95,6 +140,8 @@ bool validate(const char* path) {
       return fail(path, "scalar '" + key + "' is " + number_problem(&v));
     }
   }
+
+  if (!validate_spans(path, *doc)) return false;
 
   std::printf("bench_validate: %s OK (%zu phases, %zu scalars)\n", path,
               phases->array.size(), scalars->object.size());

@@ -1,6 +1,7 @@
 # Runs one bench at reduced scale with span tracing on and a Perfetto export
 # path set, then validates both outputs: the BENCH_<name>.json report (which
-# must now carry the spans / span_stages sections) and the exported Chrome
+# must carry valid spans / span_stages sections; a hand-made bad report must
+# be refused) and the exported Chrome
 # trace-event file (bench_validate --trace checks slice shape and async
 # begin/end balance). Invoked by the trace_smoke CTest test as
 #   cmake -DBENCH_EXE=... -DVALIDATOR=... -DJSON_NAME=... -DOUT_DIR=...
@@ -32,6 +33,26 @@ execute_process(COMMAND "${VALIDATOR}" "${OUT_DIR}/${JSON_NAME}"
                 RESULT_VARIABLE validate_rc)
 if(NOT validate_rc EQUAL 0)
   message(FATAL_ERROR "bench report validation failed (status ${validate_rc})")
+endif()
+file(READ "${OUT_DIR}/${JSON_NAME}" report)
+if(NOT report MATCHES "\"span_stages\"")
+  message(FATAL_ERROR "traced report ${JSON_NAME} has no span_stages section")
+endif()
+
+# Negative case: a hand-made report whose one stage has p99 above max must
+# be refused.
+set(bad_report "${OUT_DIR}/BENCH_bad_span_stage.json")
+file(WRITE "${bad_report}" [=[
+{"bench": "bad_span_stage", "schema_version": 1, "threads": 1, "scale": 1.0,
+ "phases": [], "total_wall_s": 0.1, "scalars": {},
+ "spans": 3, "spans_dropped": 0,
+ "span_stages": [{"name": "stage", "count": 3, "total_ns": 300, "min_ns": 50,
+                  "max_ns": 150, "p50_ns": 100, "p99_ns": 200}]}
+]=])
+execute_process(COMMAND "${VALIDATOR}" "${bad_report}"
+                RESULT_VARIABLE bad_rc OUTPUT_QUIET ERROR_QUIET)
+if(bad_rc EQUAL 0)
+  message(FATAL_ERROR "bench_validate accepted a span stage with p99_ns > max_ns")
 endif()
 
 if(NOT EXISTS "${OUT_DIR}/trace.json")

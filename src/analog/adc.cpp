@@ -43,10 +43,15 @@ Adc::Adc(const AdcParams& p)
           p.inl_peak_lsb.nominal, p.dnl_sigma_lsb.nominal, /*pattern_seed=*/12345) {}
 
 Adc Adc::sampled(const AdcParams& p, stats::Rng& rng) {
-  return Adc(p.bits, p.vref, stats::sample(p.offset_error_v, rng),
-             stats::sample(p.gain_error, rng),
-             stats::sample(p.inl_peak_lsb, rng),
-             std::abs(stats::sample(p.dnl_sigma_lsb, rng)), rng.next_u64());
+  // Draw order is part of the MC contract (pinned in test_analog_blocks):
+  // DNL pattern seed, DNL sigma, INL peak, gain error, offset error.
+  const std::uint64_t pattern_seed = rng.next_u64();
+  const double dnl_sigma_lsb = std::abs(stats::sample(p.dnl_sigma_lsb, rng));
+  const double inl_peak_lsb = stats::sample(p.inl_peak_lsb, rng);
+  const double gain_error = stats::sample(p.gain_error, rng);
+  const double offset_error_v = stats::sample(p.offset_error_v, rng);
+  return Adc(p.bits, p.vref, offset_error_v, gain_error, inl_peak_lsb, dnl_sigma_lsb,
+             pattern_seed);
 }
 
 double Adc::lsb() const { return 2.0 * vref_ / static_cast<double>(1ll << bits_); }

@@ -28,10 +28,13 @@ SigmaDeltaModulator::SigmaDeltaModulator(const SigmaDeltaParams& p)
 
 SigmaDeltaModulator SigmaDeltaModulator::sampled(const SigmaDeltaParams& p,
                                                  stats::Rng& rng) {
-  return SigmaDeltaModulator(p.order, p.vref,
-                             1.0 + stats::sample(p.integrator_gain_error, rng),
-                             std::abs(stats::sample(p.integrator_leak, rng)),
-                             stats::sample(p.dac_mismatch_v, rng), p.state_clip);
+  // Draw order is part of the MC contract (pinned in test_analog_blocks):
+  // DAC mismatch, integrator leak, integrator gain error.
+  const double dac_mismatch_v = stats::sample(p.dac_mismatch_v, rng);
+  const double leak = std::abs(stats::sample(p.integrator_leak, rng));
+  const double gain_error = stats::sample(p.integrator_gain_error, rng);
+  return SigmaDeltaModulator(p.order, p.vref, 1.0 + gain_error, leak, dac_mismatch_v,
+                             p.state_clip);
 }
 
 std::vector<int> SigmaDeltaModulator::modulate(const Signal& in) const {

@@ -1,6 +1,5 @@
 #include "core/mc_validation.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -8,8 +7,7 @@
 #include "base/require.h"
 #include "core/translation.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "stats/parallel.h"
 
 namespace msts::core {
@@ -19,7 +17,7 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
                                     stats::Rng& rng, bool adaptive,
                                     const path::MeasureOptions& opts, int threads) {
   MSTS_REQUIRE(trials >= 10, "need at least 10 trials");
-  obs::ScopedTimer timer("core.validate_iip3_study_mc");
+  obs::Span span("core.validate_iip3_study_mc");
   obs::counter_add("core.validate_iip3_study_mc.trials",
                    static_cast<std::uint64_t>(trials));
 
@@ -50,13 +48,7 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
   const std::vector<stats::Rng> streams =
       stats::make_streams(rng.split(), static_cast<std::size_t>(trials));
 
-  // Tracing observes each trial without touching its RNG draws or the serial
-  // reduction below: traced runs stay bit-identical to untraced ones.
-  const bool traced = obs::trace_enabled();
-
   stats::parallel_for_index(static_cast<std::size_t>(trials), threads, [&](std::size_t t) {
-    const auto t0 = traced ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
     stats::Rng trial_rng = streams[t];
     const double true_iip3 = trial_rng.uniform(lo, hi);
 
@@ -73,18 +65,6 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
     r.is_good = study.spec.passes(true_iip3);
     r.accepted = threshold.passes(measured);
     records[t] = r;
-    if (traced) {
-      const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      obs::trace_emit({obs::TraceKind::kMcBlock,
-                       "core.validate_iip3_study_mc",
-                       t,
-                       {{"stream", static_cast<std::int64_t>(t)},
-                        {"trial_begin", static_cast<std::int64_t>(t)},
-                        {"trial_end", static_cast<std::int64_t>(t + 1)},
-                        {"wall_ns", static_cast<std::int64_t>(wall_ns)}}});
-    }
   });
 
   double w_good_reject = 0.0;

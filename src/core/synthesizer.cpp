@@ -5,7 +5,6 @@
 
 #include "base/require.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
 #include "obs/span.h"
 
 namespace msts::core {
@@ -40,7 +39,6 @@ const path::BlockConfig* first_block(const path::PathGraphConfig& g,
 }  // namespace
 
 ParameterStudy TestSynthesizer::study_mixer_p1db() const {
-  obs::ScopedTimer timer("core.study_mixer_p1db");
   obs::Span span("core.study_mixer_p1db");
   const auto analysis = translator_.analyze_mixer_p1db();
   const auto* mixer = first_block(graph_, path::BlockKind::kMixer);
@@ -53,7 +51,6 @@ ParameterStudy TestSynthesizer::study_mixer_p1db() const {
 }
 
 ParameterStudy TestSynthesizer::study_mixer_iip3() const {
-  obs::ScopedTimer timer("core.study_mixer_iip3");
   obs::Span span("core.study_mixer_iip3");
   const auto analysis = translator_.analyze_mixer_iip3(adaptive_);
   const auto* mixer = first_block(graph_, path::BlockKind::kMixer);
@@ -66,7 +63,6 @@ ParameterStudy TestSynthesizer::study_mixer_iip3() const {
 }
 
 ParameterStudy TestSynthesizer::study_lpf_cutoff() const {
-  obs::ScopedTimer timer("core.study_lpf_cutoff");
   obs::Span span("core.study_lpf_cutoff");
   const auto analysis = translator_.analyze_lpf_cutoff();
   const auto* lpf = first_block(graph_, path::BlockKind::kLpf);
@@ -79,7 +75,6 @@ ParameterStudy TestSynthesizer::study_lpf_cutoff() const {
 }
 
 std::vector<PlannedTest> TestSynthesizer::synthesize() const {
-  obs::ScopedTimer timer("core.synthesize");
   obs::Span span("core.synthesize");
   obs::counter_add("core.synthesize.calls");
   std::vector<PlannedTest> plan;

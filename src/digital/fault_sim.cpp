@@ -1,15 +1,13 @@
 #include "digital/fault_sim.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 
 #include "base/require.h"
 #include "base/simd.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "stats/parallel.h"
 
 namespace msts::digital {
@@ -78,7 +76,7 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
                                const FaultSimOptions& options) {
   MSTS_REQUIRE(!stimulus.empty(), "stimulus must be non-empty");
   MSTS_REQUIRE(input.width() >= 1 && output.width() >= 1, "need input and output buses");
-  obs::ScopedTimer timer("digital.simulate_faults");
+  obs::Span span("digital.simulate_faults");
   obs::counter_add("digital.simulate_faults.faults", faults.size());
   obs::counter_add("digital.simulate_faults.vectors", stimulus.size());
 
@@ -129,14 +127,7 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
   // their verdicts in per-batch masks and the flags are unpacked serially.
   std::vector<std::uint64_t> batch_masks(nbatches * mwords, 0);
 
-  // Tracing observes each batch (range, wall time) without touching the
-  // batch partition or the serial unpack below, so traced runs detect the
-  // exact same fault set.
-  const bool traced = obs::trace_enabled();
-
   stats::parallel_for_index(nbatches, options.threads, [&](std::size_t bi) {
-    const auto t0 = traced ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
     const std::size_t base = bi * per_batch;
     const std::size_t batch = std::min<std::size_t>(per_batch, faults.size() - base);
 
@@ -187,18 +178,6 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
       capture->for_each_stream(1, batch, [&](std::size_t m, std::span<const std::int64_t> s) {
         emit(base + m - 1, s);
       });
-    }
-    if (traced) {
-      const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      obs::trace_emit({obs::TraceKind::kMcBlock,
-                       "digital.simulate_faults",
-                       bi,
-                       {{"stream", static_cast<std::int64_t>(bi)},
-                        {"fault_begin", static_cast<std::int64_t>(base)},
-                        {"fault_end", static_cast<std::int64_t>(base + batch)},
-                        {"wall_ns", static_cast<std::int64_t>(wall_ns)}}});
     }
   });
 

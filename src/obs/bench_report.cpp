@@ -14,7 +14,6 @@
 #include "obs/json.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace msts::obs {
 
@@ -99,13 +98,7 @@ void BenchReport::phase_start(std::string label) {
 void BenchReport::phase_end() {
   MSTS_REQUIRE(phase_open_, "no bench phase is open");
   phase_open_ = false;
-  const double wall_s = seconds_since(phase_start_);
-  if (trace_enabled()) {
-    trace_emit({TraceKind::kPhase, name_ + "." + open_phase_,
-                static_cast<std::uint64_t>(phases_.size()),
-                {{"wall_s", wall_s}}});
-  }
-  phases_.push_back({std::move(open_phase_), wall_s});
+  phases_.push_back({std::move(open_phase_), seconds_since(phase_start_)});
 }
 
 void BenchReport::add_scalar(std::string key, double value) {
@@ -174,22 +167,20 @@ bool BenchReport::write() {
     }
     w.end_array();
   }
-  // Spans drain once per report: the drained batch feeds the per-stage
-  // attribution (JSON + stdout) and, when MSTS_TRACE_PATH is set, the
-  // Chrome/Perfetto export.
+  // Attribution comes from the registry's stage timers, which count every
+  // closed span; the span ring is drained once per report only for the
+  // timeline (its size, its overflow and the Chrome/Perfetto export).
   std::vector<SpanRecord> spans;
   std::uint64_t spans_lost = 0;
-  std::vector<StageAttribution> stages;
+  std::vector<Metric> stages;
   if (trace_enabled()) {
     spans_lost = spans_dropped();  // read before the drain resets it
     spans = spans_drain();
-    stages = latency_attribution(spans);
-    w.kv("trace_events",
-         static_cast<std::uint64_t>(trace_pending()) + trace_dropped());
+    stages = stage_attribution(Registry::instance().snapshot());
     w.kv("spans", static_cast<std::uint64_t>(spans.size()));
     w.kv("spans_dropped", spans_lost);
     w.key("span_stages").begin_array();
-    for (const StageAttribution& s : stages) {
+    for (const Metric& s : stages) {
       w.begin_object();
       w.kv("name", std::string_view(s.name));
       w.kv("count", s.count);
@@ -225,7 +216,8 @@ bool BenchReport::write() {
   if (!stages.empty()) {
     std::printf("%s", attribution_to_text(stages).c_str());
     if (spans_lost > 0) {
-      std::printf("[obs]   (%llu span%s dropped by full ring buffers)\n",
+      std::printf("[obs]   (%llu span%s dropped from the timeline by full ring "
+                  "buffers; stage counts above are complete)\n",
                   static_cast<unsigned long long>(spans_lost),
                   spans_lost == 1 ? "" : "s");
     }

@@ -18,16 +18,19 @@
 //   "labels":  { "<key>": "<string>", ... },          // optional
 //   "metrics": [ {"name": ..., "kind": ..., "count": ...,
 //                 "total_ns": ...}, ... ],            // MSTS_METRICS only
-//   "trace_events": <int>,                            // MSTS_TRACE only
 //   "spans": <int>, "spans_dropped": <int>,           // MSTS_TRACE only
 //   "span_stages": [ {"name": ..., "count": ..., "total_ns": ...,
 //                     "min_ns": ..., "max_ns": ...,
-//                     "p50_ns": ..., "p99_ns": ...}, ... ]
+//                     "p50_ns": ..., "p99_ns": ...}, ... ] // MSTS_TRACE only
 // }
 //
-// With tracing on, write() drains the span buffers (obs/span.h): the batch
-// becomes the span_stages attribution above (also printed as a stdout table)
-// and, when MSTS_TRACE_PATH is set, a Chrome/Perfetto trace-event file.
+// With tracing on, write() reports per-stage attribution (span_stages, also
+// printed as a stdout table) from the registry's stage timers — every closed
+// obs::Span records one, so the counts are complete however many timeline
+// records the span rings dropped. It also drains the rings (obs/span.h):
+// "spans" counts the drained timeline, "spans_dropped" what overflowed, and
+// when MSTS_TRACE_PATH is set the batch is exported as a Chrome/Perfetto
+// trace-event file.
 //
 // The output directory defaults to the build tree the library was configured
 // in (MSTS_BENCH_JSON_DEFAULT_DIR, injected by CMake; the working directory

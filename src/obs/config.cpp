@@ -116,6 +116,12 @@ bool trace_enabled() {
   return g_trace.load(std::memory_order_relaxed);
 }
 
+bool spans_armed() {
+  ensure_env_init();
+  return g_metrics.load(std::memory_order_relaxed) ||
+         g_trace.load(std::memory_order_relaxed);
+}
+
 bool env_flag(const char* name) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || raw[0] == '\0') return false;

@@ -1,11 +1,16 @@
 // Runtime configuration of the observability layer.
 //
 // Two independent switches control what msts::obs collects:
-//  * metrics — scoped timers, counters and histograms (obs/registry.h);
-//  * trace   — structured trace events (obs/trace.h).
-// Both default to off and are near-zero-cost while off: every instrumented
-// call site performs one relaxed atomic load and nothing else (no clock
-// read, no allocation, no lock).
+//  * metrics — counters and histograms (obs/registry.h);
+//  * trace   — the span timeline: every closed obs::Span also lands in a
+//              per-thread ring for drains and the Chrome/Perfetto export
+//              (obs/span.h).
+// Stage times have one recorder, obs::Span, armed when either switch is on:
+// closing an armed span records a registry timer under the span's name, so
+// per-stage attribution never depends on the ring. Both switches default to
+// off and are near-zero-cost while off: every instrumented call site
+// performs a relaxed atomic load or two and nothing else (no clock read, no
+// allocation, no lock).
 //
 // The switches come from the environment on first use (MSTS_METRICS and
 // MSTS_TRACE) and can be overridden programmatically with configure() —
@@ -29,8 +34,8 @@ namespace msts::obs {
 
 /// The observability switches.
 struct Config {
-  bool metrics = false;  ///< Timers / counters / histograms collect.
-  bool trace = false;    ///< Structured trace events + spans collect.
+  bool metrics = false;  ///< Counters / histograms / span timers collect.
+  bool trace = false;    ///< Span timers + the span timeline collect.
   /// Destination for the Chrome/Perfetto span export; empty = no export.
   /// Only meaningful with trace on (from_env / configure enforce this).
   std::string trace_path;
@@ -53,6 +58,9 @@ bool metrics_enabled();
 
 /// True when trace collection is on. One relaxed atomic load.
 bool trace_enabled();
+
+/// True when either switch is on — the condition that arms an obs::Span.
+bool spans_armed();
 
 /// The configured trace-export path ("" when none). Not a hot-path call
 /// (takes a lock); exporters read it once per flush.

@@ -127,6 +127,7 @@ void Registry::timer_record_ns(std::string_view name, std::uint64_t ns) {
   c.total_ns += ns;
   c.min_ns = std::min(c.min_ns, ns);
   c.max_ns = std::max(c.max_ns, ns);
+  ++c.bins[histogram_bin_of(1e-9 * static_cast<double>(ns))];
 }
 
 void Registry::histogram_record(std::string_view name, double value) {

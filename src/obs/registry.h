@@ -1,5 +1,11 @@
 // Process-wide metric registry: counters, timers and histograms.
 //
+// Timers are stage times: closing an armed obs::Span (obs/span.h) records
+// one sample under the span's name, whether or not the span timeline is
+// traced, so the registry is the single source of per-stage attribution
+// (BenchReport's span_stages). A timer keeps count / total / min / max and
+// the same log2 bins as a histogram, in seconds, for quantiles.
+//
 // Collection model: every thread writes into its own thread-local sink (one
 // short uncontended lock per update, taken only so snapshots can read live
 // sinks safely); sinks merge into the registry when their thread exits, and
@@ -10,7 +16,7 @@
 // merge" half of the obs contract. (Wall-clock *durations* are inherently
 // non-deterministic; the determinism guarantee is that, for deterministic
 // inputs, counter totals, sample counts and histogram bins are bit-identical
-// at any thread count.)
+// at any thread count; timer bins hold wall-clock durations and are not.)
 //
 // Thread lifetime contract: a sink merges eagerly into the registry's
 // retired totals when its thread exits (the thread_local destructor), and
@@ -32,6 +38,9 @@
 // When metrics are disabled (obs::metrics_enabled() == false) the free
 // functions below return after a single relaxed atomic load: no clock read,
 // no allocation, no lock. Hot loops may be instrumented unconditionally.
+// There is no free timer function: obs::Span is the one stage recorder, and
+// it calls Registry::timer_record_ns itself, armed by trace as well as by
+// metrics.
 #pragma once
 
 #include <array>
@@ -59,7 +68,8 @@ struct Metric {
   std::uint64_t total_ns = 0;  ///< Timers: accumulated nanoseconds.
   std::uint64_t min_ns = 0;    ///< Timers: shortest sample.
   std::uint64_t max_ns = 0;    ///< Timers: longest sample.
-  std::array<std::uint64_t, kHistBins> bins{};  ///< Histograms only.
+  /// Histograms: sample bins. Timers: duration bins, in seconds.
+  std::array<std::uint64_t, kHistBins> bins{};
 };
 
 const char* to_string(Metric::Kind kind);
@@ -104,11 +114,6 @@ class Registry {
 /// Adds `delta` to counter `name`. No-op unless metrics are enabled.
 inline void counter_add(std::string_view name, std::uint64_t delta = 1) {
   if (metrics_enabled()) Registry::instance().counter_add(name, delta);
-}
-
-/// Records one duration sample on timer `name`. No-op unless enabled.
-inline void timer_record_ns(std::string_view name, std::uint64_t ns) {
-  if (metrics_enabled()) Registry::instance().timer_record_ns(name, ns);
 }
 
 /// Records one histogram sample. No-op unless enabled.

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <string_view>
@@ -21,7 +20,8 @@ namespace {
 // ~4 MiB per tracing thread — big enough that a scaled bench run fits, small
 // enough that a forgotten MSTS_TRACE=1 cannot exhaust memory. A full ring
 // overwrites its oldest record (keeping the most recent spans, which are the
-// ones a slow-request investigation needs) and counts the loss.
+// ones a slow-request investigation needs) and counts the loss; the stage
+// timers in the registry still count every record.
 constexpr std::size_t kRingCapacity = std::size_t{1} << 15;
 
 // Retired records (from exited threads) kept until the next drain.
@@ -113,20 +113,6 @@ Sink::~Sink() {
   if (owner != nullptr) owner->retire(*this);
 }
 
-void note_timer_sample(const SpanRecord& rec) {
-  if (!metrics_enabled()) return;
-  // "span.<name>" timers give every stage count/total/min/max in the bench
-  // report's metrics section without a separate aggregation pass.
-  char buf[96];
-  const int n = std::snprintf(buf, sizeof buf, "span.%s", rec.name);
-  if (n > 0) {
-    Registry::instance().timer_record_ns(
-        std::string_view(buf, std::min<std::size_t>(static_cast<std::size_t>(n),
-                                                    sizeof buf - 1)),
-        rec.dur_ns);
-  }
-}
-
 }  // namespace
 
 SpanId span_allocate_id() {
@@ -153,15 +139,17 @@ std::uint32_t span_thread_id() {
 
 Span::Span(const char* name) : Span(name, t_current_span) {}
 
-Span::Span(const char* name, SpanId parent) : armed_(trace_enabled()) {
+Span::Span(const char* name, SpanId parent) : armed_(spans_armed()) {
   if (!armed_) return;
   rec_.name = name;
-  rec_.id = span_allocate_id();
-  rec_.parent = parent;
-  rec_.tid = span_thread_id();
+  if (trace_enabled()) {
+    rec_.id = span_allocate_id();
+    rec_.parent = parent;
+    rec_.tid = span_thread_id();
+    saved_current_ = t_current_span;
+    t_current_span = rec_.id;
+  }
   rec_.start_ns = span_ns_since_epoch(std::chrono::steady_clock::now());
-  saved_current_ = t_current_span;
-  t_current_span = rec_.id;
 }
 
 Span::~Span() {
@@ -169,12 +157,12 @@ Span::~Span() {
   const std::uint64_t end_ns =
       span_ns_since_epoch(std::chrono::steady_clock::now());
   rec_.dur_ns = end_ns > rec_.start_ns ? end_ns - rec_.start_ns : 0;
-  t_current_span = saved_current_;
+  if (rec_.id != 0) t_current_span = saved_current_;
   span_emit(rec_);
 }
 
 void Span::note(const char* key, std::int64_t v) {
-  if (!armed_ || rec_.note_count >= SpanRecord::kMaxNotes) return;
+  if (rec_.id == 0 || rec_.note_count >= SpanRecord::kMaxNotes) return;
   SpanNote& n = rec_.notes[rec_.note_count++];
   n.key = key;
   n.type = SpanNote::Type::kInt;
@@ -182,7 +170,7 @@ void Span::note(const char* key, std::int64_t v) {
 }
 
 void Span::note(const char* key, double v) {
-  if (!armed_ || rec_.note_count >= SpanRecord::kMaxNotes) return;
+  if (rec_.id == 0 || rec_.note_count >= SpanRecord::kMaxNotes) return;
   SpanNote& n = rec_.notes[rec_.note_count++];
   n.key = key;
   n.type = SpanNote::Type::kDouble;
@@ -212,8 +200,8 @@ SpanRecord span_record_between(const char* name, SpanId id, SpanId parent,
   rec.tid = span_thread_id();
   rec.async = async;
   rec.start_ns = span_ns_since_epoch(start);
-  // Clamp exactly like the service timers (ns_between): a stage is never
-  // negative, so span sums reconcile with queue-wait/exec totals.
+  // Clamp exactly like the engine's ns_between: a stage is never negative,
+  // so stage sums reconcile with the Served queue-wait/exec totals.
   const auto d =
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start).count();
   rec.dur_ns = d > 0 ? static_cast<std::uint64_t>(d) : 0;
@@ -221,7 +209,8 @@ SpanRecord span_record_between(const char* name, SpanId id, SpanId parent,
 }
 
 void span_emit(const SpanRecord& rec) {
-  note_timer_sample(rec);
+  Registry::instance().timer_record_ns(rec.name, rec.dur_ns);
+  if (rec.id == 0) return;
   Sink& s = Collector::instance().local_sink();
   std::lock_guard<std::mutex> lock(s.mu);
   s.push(rec);
@@ -375,33 +364,19 @@ std::size_t spans_flush_to_trace_path() {
   return spans.size();
 }
 
-std::vector<StageAttribution> latency_attribution(
-    const std::vector<SpanRecord>& spans) {
-  std::map<std::string_view, StageAttribution> by_name;
-  for (const SpanRecord& rec : spans) {
-    StageAttribution& s = by_name[rec.name];
-    if (s.count == 0) {
-      s.name = rec.name;
-      s.min_ns = rec.dur_ns;
-    }
-    ++s.count;
-    s.total_ns += rec.dur_ns;
-    s.min_ns = std::min(s.min_ns, rec.dur_ns);
-    s.max_ns = std::max(s.max_ns, rec.dur_ns);
-    ++s.bins[histogram_bin_of(1e-9 * static_cast<double>(rec.dur_ns))];
+std::vector<Metric> stage_attribution(const std::vector<Metric>& metrics) {
+  std::vector<Metric> out;
+  for (const Metric& m : metrics) {
+    if (m.kind == Metric::Kind::kTimer) out.push_back(m);
   }
-  std::vector<StageAttribution> out;
-  out.reserve(by_name.size());
-  for (auto& [name, stage] : by_name) out.push_back(std::move(stage));
-  std::sort(out.begin(), out.end(),
-            [](const StageAttribution& a, const StageAttribution& b) {
-              if (a.total_ns != b.total_ns) return a.total_ns > b.total_ns;
-              return a.name < b.name;
-            });
+  std::sort(out.begin(), out.end(), [](const Metric& a, const Metric& b) {
+    if (a.total_ns != b.total_ns) return a.total_ns > b.total_ns;
+    return a.name < b.name;
+  });
   return out;
 }
 
-double attribution_quantile_ns(const StageAttribution& stage, double q) {
+double attribution_quantile_ns(const Metric& stage, double q) {
   if (stage.count == 0) return 0.0;
   q = std::min(std::max(q, 0.0), 1.0);
   const double target = q * static_cast<double>(stage.count);
@@ -421,13 +396,13 @@ double attribution_quantile_ns(const StageAttribution& stage, double q) {
   return static_cast<double>(stage.max_ns);
 }
 
-std::string attribution_to_text(const std::vector<StageAttribution>& stages) {
+std::string attribution_to_text(const std::vector<Metric>& stages) {
   std::ostringstream os;
   char line[192];
   std::snprintf(line, sizeof line, "%-32s %10s %12s %10s %10s %10s\n", "stage",
                 "count", "total_ms", "p50_us", "p99_us", "max_us");
   os << line;
-  for (const StageAttribution& s : stages) {
+  for (const Metric& s : stages) {
     std::snprintf(line, sizeof line,
                   "%-32s %10" PRIu64 " %12.3f %10.1f %10.1f %10.1f\n",
                   s.name.c_str(), s.count,

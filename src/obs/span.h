@@ -1,23 +1,28 @@
-// Request-scoped spans: the tracing layer above obs::trace's flat events.
+// Request-scoped spans: the one recorder of stage times.
 //
-// A Span measures one stage of work — monotonic start, duration, a static
-// name, the parent span, the recording thread and up to kMaxNotes small
-// key/value annotations — and the records from every thread assemble into a
+// A Span measures one stage of work — monotonic start, duration and a
+// static name. It is armed when metrics or trace is on (obs::spans_armed());
+// while both are off it costs a relaxed atomic load or two in the
+// constructor and one branch in the destructor — no clock read, no
+// allocation, no lock — so stages are instrumented unconditionally.
+//
+// Closing an armed span records a registry timer under the span's own name
+// (obs/registry.h). Those timers are the per-stage attribution: count,
+// total, min, max and log2 duration bins, merged across threads and never
+// lost. With trace on the span additionally carries an id, its parent span,
+// the recording thread and up to kMaxNotes small key/value annotations, and
+// lands in the span timeline: the records from every thread assemble into a
 // per-request span *tree* (service request -> queue wait / cache probe /
-// execute -> synthesize -> parallel blocks -> plan-cache builds). Collection
-// is gated by obs::trace_enabled(): while tracing is off a Span costs one
-// relaxed atomic load in the constructor and one branch in the destructor —
-// no clock read, no allocation, no lock — so the request path is
-// instrumented unconditionally.
+// execute -> synthesize -> parallel blocks -> plan-cache builds).
 //
-// Buffering follows the registry's sink model (obs/registry.h): every thread
-// writes into its own fixed-capacity ring buffer behind a per-thread mutex
+// Timeline buffering follows the registry's sink model: every thread writes
+// into its own fixed-capacity ring buffer behind a per-thread mutex
 // (uncontended; taken so drains can read live sinks), a sink retires its
 // records into the collector when its thread exits, and spans_drain()
 // atomically collects-and-clears retired records plus every live ring. A
 // full ring overwrites its oldest record and counts it in spans_dropped(),
-// so `drained + dropped` always conserves the number of spans emitted —
-// the same conservation contract Registry::drain() gives counters.
+// so `drained + dropped` always conserves the number of traced spans. An
+// overflow costs timeline records, never attribution counts.
 //
 // Parenting: each thread keeps a current-span cursor; a Span constructed
 // without an explicit parent nests under the thread's innermost open span.
@@ -25,10 +30,10 @@
 // blocks) captures Span::current() *before* dispatch and passes it as the
 // explicit parent, which stitches the tree across threads. Manual emission
 // (span_record_between + span_emit) covers stages whose endpoints are
-// existing time_points, e.g. a request's queue wait — the span's duration
-// then reconciles exactly with timers computed from the same time points.
+// existing time_points, e.g. a request's queue wait — the stage's duration
+// then reconciles exactly with values computed from the same time points.
 //
-// Exporters:
+// Readers:
 //  * spans_to_chrome_json — Chrome/Perfetto trace-event JSON ("X" complete
 //    slices per thread; records marked `async` become "b"/"e" nestable async
 //    events so overlapping per-request spans get their own tracks). Load the
@@ -36,9 +41,8 @@
 //    obs/config.h) names the export file: BenchReport::write() flushes the
 //    drained batch there, and spans_flush_to_trace_path() does the same for
 //    programs without a bench report.
-//  * latency_attribution — per-stage aggregation (count / total / min / max
-//    and log2 histogram bins, same binning as obs::Metric) answering "where
-//    did the time go" without a UI.
+//  * stage_attribution — the timer entries of a registry snapshot, ordered
+//    by total time, answering "where did the time go" without a UI.
 #pragma once
 
 #include <array>
@@ -56,7 +60,7 @@ namespace msts::obs {
 using SpanId = std::uint64_t;
 
 /// One annotation. Keys are static strings; values are numeric so a note
-/// never allocates (string-ish payloads belong in trace events or logs).
+/// never allocates (string-ish payloads belong in logs).
 struct SpanNote {
   const char* key = nullptr;
   enum class Type : std::uint8_t { kInt, kDouble } type = Type::kInt;
@@ -66,8 +70,9 @@ struct SpanNote {
   };
 };
 
-/// A finished span as stored in the ring buffers and returned by
-/// spans_drain(). Plain value type, no heap members.
+/// A finished span as recorded by span_emit() and returned by spans_drain().
+/// Plain value type, no heap members. id == 0 marks an untraced record: it
+/// feeds its stage timer only.
 struct SpanRecord {
   static constexpr std::size_t kMaxNotes = 4;
 
@@ -95,13 +100,14 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attach a small annotation; silently dropped when the span is disarmed
-  /// or kMaxNotes are already attached.
+  /// Attach a small annotation; silently dropped when the span is untraced
+  /// (notes only reach the timeline) or kMaxNotes are already attached.
   void note(const char* key, std::int64_t v);
   void note(const char* key, double v);
 
   /// This span's id (0 when tracing was off at construction).
   SpanId id() const { return rec_.id; }
+  /// True when the span records its stage timer (metrics or trace on).
   bool armed() const { return armed_; }
 
   /// The calling thread's innermost open span id, 0 when none / tracing off.
@@ -143,16 +149,17 @@ std::uint64_t span_ns_since_epoch(std::chrono::steady_clock::time_point tp);
 std::uint32_t span_thread_id();
 
 /// Builds a record for a stage bounded by two existing time points, id'd
-/// with `id` (pass span_allocate_id()) under `parent`. Duration clamps at 0
-/// exactly like the service timers, so span durations reconcile with them.
+/// with `id` (span_allocate_id() when tracing, else 0) under `parent`.
+/// Duration clamps at 0, so it reconciles exactly with any other clamped
+/// difference of the same two points (e.g. service::Served::queue_wait_ns).
 SpanRecord span_record_between(const char* name, SpanId id, SpanId parent,
                                bool async,
                                std::chrono::steady_clock::time_point start,
                                std::chrono::steady_clock::time_point end);
 
-/// Buffers a finished record into the calling thread's ring (and, when
-/// metrics are on, records a "span.<name>" timer sample). Collects
-/// unconditionally — gate call sites on trace_enabled() / Span::armed().
+/// Records a finished stage: a registry timer sample under rec.name and, for
+/// a traced record (id != 0), a copy in the calling thread's ring. Collects
+/// unconditionally — gate call sites on spans_armed() / Span::armed().
 void span_emit(const SpanRecord& rec);
 
 /// Atomic collect-and-clear over every live ring plus the retired records
@@ -160,7 +167,8 @@ void span_emit(const SpanRecord& rec);
 std::vector<SpanRecord> spans_drain();
 
 /// Records overwritten by full rings (or lost retiring past the retired-
-/// buffer cap) since the last drain. drained + dropped conserves emissions.
+/// buffer cap) since the last drain. drained + dropped conserves traced
+/// emissions; the stage timers keep counting every record either way.
 std::uint64_t spans_dropped();
 
 /// Per-thread ring capacity (exposed for the overflow tests).
@@ -179,27 +187,16 @@ bool spans_write_chrome(const std::string& path,
 /// trace path is configured.
 std::size_t spans_flush_to_trace_path();
 
-/// Per-stage latency attribution over a drained batch.
-struct StageAttribution {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t min_ns = 0;
-  std::uint64_t max_ns = 0;
-  /// Log2 duration histogram, same binning as obs::Metric (seconds).
-  std::array<std::uint64_t, Metric::kHistBins> bins{};
-};
+/// Per-stage latency attribution: the timer entries of `metrics` (a registry
+/// snapshot; every closed span records one), sorted by total_ns descending
+/// (name ascending on ties).
+std::vector<Metric> stage_attribution(const std::vector<Metric>& metrics);
 
-/// Aggregates records by stage name, sorted by total_ns descending (name
-/// ascending on ties).
-std::vector<StageAttribution> latency_attribution(
-    const std::vector<SpanRecord>& spans);
-
-/// Approximate quantile (q in [0,1]) in nanoseconds from the log2 bins,
-/// clamped to [min_ns, max_ns].
-double attribution_quantile_ns(const StageAttribution& stage, double q);
+/// Approximate quantile (q in [0,1]) in nanoseconds from a timer's log2
+/// bins, clamped to [min_ns, max_ns].
+double attribution_quantile_ns(const Metric& stage, double q);
 
 /// Human-readable attribution table (one line per stage).
-std::string attribution_to_text(const std::vector<StageAttribution>& stages);
+std::string attribution_to_text(const std::vector<Metric>& stages);
 
 }  // namespace msts::obs

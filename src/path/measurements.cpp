@@ -6,7 +6,7 @@
 #include "base/units.h"
 #include "dsp/tonegen.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
+#include "obs/span.h"
 #include "path/workspace.h"
 
 namespace msts::path {
@@ -73,7 +73,7 @@ dsp::Spectrum run_two_port(const ReceiverPath& path, std::span<const double> if_
 double measure_path_gain_db(const ReceiverPath& path, double if_freq, double amp_vpeak,
                             stats::Rng& noise_rng, const MeasureOptions& opts) {
   MSTS_REQUIRE(amp_vpeak > 0.0, "stimulus amplitude must be positive");
-  obs::ScopedTimer timer("path.measure_path_gain_db");
+  obs::Span span("path.measure_path_gain_db");
   const double freqs[] = {if_freq};
   const double amps[] = {amp_vpeak};
   const auto spectrum = run_two_port(path, freqs, amps, noise_rng, opts);
@@ -87,7 +87,7 @@ TwoToneResponse measure_two_tone(const ReceiverPath& path, double f1_if, double 
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
   MSTS_REQUIRE(f1_if != f2_if, "two-tone test needs distinct tones");
-  obs::ScopedTimer timer("path.measure_two_tone");
+  obs::Span span("path.measure_two_tone");
   const double freqs[] = {f1_if, f2_if};
   const double amps[] = {amp_vpeak, amp_vpeak};
   const auto spectrum = run_two_port(path, freqs, amps, noise_rng, opts);
@@ -107,7 +107,7 @@ TwoToneResponse measure_two_tone(const ReceiverPath& path, double f1_if, double 
 
 double measure_path_p1db_dbm(const ReceiverPath& path, double if_freq,
                              stats::Rng& noise_rng, const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_path_p1db_dbm");
+  obs::Span span("path.measure_path_p1db_dbm");
   // Establish the small-signal gain, then raise the drive until it has
   // dropped by 1 dB; log-domain bisection between the last two points.
   const double small_dbm = -45.0;
@@ -140,7 +140,7 @@ double measure_path_p1db_dbm(const ReceiverPath& path, double if_freq,
 
 double measure_path_cutoff_hz(const ReceiverPath& path, double amp_vpeak,
                               stats::Rng& noise_rng, const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_path_cutoff_hz");
+  obs::Span span("path.measure_path_cutoff_hz");
   const PathConfig& c = path.config();
   // Reference gain deep in the pass-band.
   const double f_ref = coherent_if_freq(c, opts, 100e3);
@@ -164,7 +164,7 @@ double measure_path_cutoff_hz(const ReceiverPath& path, double amp_vpeak,
 
 double measure_output_dc_v(const ReceiverPath& path, stats::Rng& noise_rng,
                            const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_output_dc_v");
+  obs::Span span("path.measure_output_dc_v");
   MeasureScratch& s = scratch();
   s.rf.fs = path.config().analog_fs;
   s.rf.samples.assign(analog_record(path.config(), opts), 0.0);
@@ -182,7 +182,7 @@ double measure_output_dc_v(const ReceiverPath& path, stats::Rng& noise_rng,
 dsp::SpectralReport measure_spectrum_report(const ReceiverPath& path, double if_freq,
                                             double amp_vpeak, stats::Rng& noise_rng,
                                             const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_spectrum_report");
+  obs::Span span("path.measure_spectrum_report");
   const double freqs[] = {if_freq};
   const double amps[] = {amp_vpeak};
   const auto spectrum = run_two_port(path, freqs, amps, noise_rng, opts);
@@ -194,7 +194,7 @@ dsp::SpectralReport measure_spectrum_report(const ReceiverPath& path, double if_
 double measure_group_delay_s(const ReceiverPath& path, double if_freq,
                              double amp_vpeak, stats::Rng& noise_rng,
                              const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_group_delay_s");
+  obs::Span span("path.measure_group_delay_s");
   const PathConfig& c = path.config();
   const double bin_w = c.digital_fs() / static_cast<double>(opts.digital_record);
   // The phase difference between the two tones is only known mod 2 pi, so the
@@ -243,7 +243,7 @@ double measure_group_delay_s(const ReceiverPath& path, double if_freq,
 double measure_lo_freq_error_ppm(const ReceiverPath& path, double if_freq,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
-  obs::ScopedTimer timer("path.measure_lo_freq_error_ppm");
+  obs::Span span("path.measure_lo_freq_error_ppm");
   const double freqs[] = {if_freq};
   const double amps[] = {amp_vpeak};
   MeasureScratch& s = scratch();

@@ -96,6 +96,14 @@ void validate_adc_block(const analog::AdcParams& adc, std::size_t decimation) {
   MSTS_REQUIRE(adc.vref > 0.0, "adc vref must be > 0");
 }
 
+// The LO waveform is generated at the analog simulation rate, so it must sit
+// below that rate's Nyquist frequency.
+void validate_lo_block(const analog::LoParams& lo, double analog_fs) {
+  MSTS_REQUIRE(std::isfinite(lo.freq_hz) && lo.freq_hz > 0.0 &&
+                   lo.freq_hz < analog_fs / 2.0,
+               "lo.freq_hz must be finite and in (0, analog_fs / 2)");
+}
+
 void validate_lpf_block(const analog::LpfParams& lpf) {
   MSTS_REQUIRE(lpf.order >= 2 && lpf.order % 2 == 0,
                "lpf order must be a positive even biquad-cascade order");
@@ -122,6 +130,7 @@ std::vector<std::int32_t> design_fir(std::size_t taps, double cutoff_norm,
 void validate(const PathConfig& config) {
   MSTS_REQUIRE(std::isfinite(config.analog_fs) && config.analog_fs > 0.0,
                "analog_fs must be a positive, finite rate");
+  validate_lo_block(config.lo, config.analog_fs);
   validate_adc_block(config.adc, config.adc_decimation);
   validate_lpf_block(config.lpf);
   validate_fir_block(config.fir_taps, config.fir_cutoff_norm,
@@ -141,8 +150,11 @@ void validate(const PathGraphConfig& graph) {
     const BlockConfig& b = graph.blocks[i];
     switch (b.kind) {
       case BlockKind::kAmp:
+        MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
+        break;
       case BlockKind::kMixer:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
+        validate_lo_block(b.lo, graph.analog_fs);
         break;
       case BlockKind::kLpf:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");

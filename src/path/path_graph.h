@@ -122,13 +122,14 @@ class PathGraph {
 
   /// Monte-Carlo instance: blocks sampled in graph order (within a mixer
   /// stage, the mixer draws before its LO). New code should prefer this;
-  /// ReceiverPath::sampled keeps its legacy draw order via from_stages().
+  /// ReceiverPath::sampled draws in reverse signal order (ADC, LPF, LO,
+  /// mixer, amplifier) and assembles via from_stages().
   static PathGraph sampled(const PathGraphConfig& config, stats::Rng& rng);
 
   /// Assembles a graph from blocks manufactured elsewhere. `stages` must
   /// match `config` block-for-block (kind-checked); this is how ReceiverPath
-  /// re-expresses itself over the graph without changing the RNG draw order
-  /// of its historical sampled() constructor.
+  /// re-expresses itself over the graph while keeping its own sampled()
+  /// draw order (ADC, LPF, LO, mixer, amplifier).
   static PathGraph from_stages(const PathGraphConfig& config,
                                std::vector<Stage> stages);
 

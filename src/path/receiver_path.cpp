@@ -82,13 +82,16 @@ ReceiverPath::ReceiverPath(const PathConfig& c)
                    analog::Adc(c.adc)) {}
 
 ReceiverPath ReceiverPath::sampled(const PathConfig& c, stats::Rng& rng) {
-  // The draw order of this constructor-argument list is a historical
-  // bit-identity contract; PathGraph::sampled draws in graph order instead.
-  return ReceiverPath(c, analog::Amplifier::sampled(c.amp, rng),
-                      analog::Mixer::sampled(c.mixer, rng),
-                      analog::LocalOscillator::sampled(c.lo, rng),
-                      analog::LowPassFilter::sampled(c.lpf, rng),
-                      analog::Adc::sampled(c.adc, rng));
+  // Blocks draw in reverse signal order — ADC, LPF, LO, mixer, amplifier —
+  // a bit-identity contract pinned in test_analog_blocks. PathGraph::sampled
+  // draws in graph order instead.
+  analog::Adc adc = analog::Adc::sampled(c.adc, rng);
+  analog::LowPassFilter lpf = analog::LowPassFilter::sampled(c.lpf, rng);
+  analog::LocalOscillator lo = analog::LocalOscillator::sampled(c.lo, rng);
+  analog::Mixer mixer = analog::Mixer::sampled(c.mixer, rng);
+  analog::Amplifier amp = analog::Amplifier::sampled(c.amp, rng);
+  return ReceiverPath(c, std::move(amp), std::move(mixer), std::move(lo),
+                      std::move(lpf), std::move(adc));
 }
 
 ReceiverPath::Trace ReceiverPath::run(const analog::Signal& rf,

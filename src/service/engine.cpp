@@ -9,7 +9,6 @@
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace msts::service {
 
@@ -100,21 +99,24 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
   auto promise = std::make_shared<std::promise<Served>>();
   std::future<Served> future = promise->get_future();
   const auto admitted_at = std::chrono::steady_clock::now();
-  // The request's root span id is allocated on the *submitting* thread so
-  // the root can record the submitter's innermost span as its parent,
-  // stitching the tree across the pool dispatch.
+  // The request's stage records are built whenever spans are armed (they
+  // feed the stage timers); ids exist only when tracing. The root id is
+  // allocated on the *submitting* thread so the root can record the
+  // submitter's innermost span as its parent, stitching the tree across the
+  // pool dispatch.
+  const bool armed = obs::spans_armed();
   obs::SpanId root = 0;
   obs::SpanId submitter = 0;
-  if (obs::trace_enabled()) {
+  if (armed && obs::trace_enabled()) {
     root = obs::span_allocate_id();
     submitter = obs::Span::current();
   }
   pool_->submit([this, promise = std::move(promise), request = std::move(request),
-                 admitted_at, root, submitter]() mutable {
+                 admitted_at, armed, root, submitter]() mutable {
     Served served;
     std::exception_ptr error;
     try {
-      served = execute(request, admitted_at, root);
+      served = execute(request, admitted_at, armed, root);
     } catch (...) {
       error = std::current_exception();
     }
@@ -139,7 +141,7 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
       }
       report_if_slow(request, served_copy);
     }
-    if (root != 0 && obs::trace_enabled()) {
+    if (armed) {
       // Root closes after fulfillment so its duration covers the whole
       // admission-to-done lifetime; async because requests overlap.
       obs::SpanRecord rec = obs::span_record_between(
@@ -155,18 +157,17 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
 
 Served SynthesisEngine::execute(const SynthesisRequest& request,
                                 std::chrono::steady_clock::time_point admitted_at,
-                                obs::SpanId root) {
+                                bool armed, obs::SpanId root) {
   const auto started_at = std::chrono::steady_clock::now();
   Served served;
   served.queue_wait_ns = ns_between(admitted_at, started_at);
-  obs::timer_record_ns("service.request.queue_wait", served.queue_wait_ns);
-  const bool traced = root != 0 && obs::trace_enabled();
-  if (traced) {
+  // Stage ids only when the request is traced (root != 0).
+  const auto stage_id = [root] { return root != 0 ? obs::span_allocate_id() : 0; };
+  if (armed) {
     // Same time points (and the same clamp-at-0) as queue_wait_ns above, so
-    // the span duration reconciles with the timer exactly. Async: the wait
-    // overlaps whatever this worker thread was doing for other requests.
-    obs::span_emit(obs::span_record_between("service.queue_wait",
-                                            obs::span_allocate_id(), root,
+    // the stage reconciles with it exactly. Async: the wait overlaps
+    // whatever this worker thread was doing for other requests.
+    obs::span_emit(obs::span_record_between("service.queue_wait", stage_id(), root,
                                             /*async=*/true, admitted_at, started_at));
   }
 
@@ -174,7 +175,7 @@ Served SynthesisEngine::execute(const SynthesisRequest& request,
   // thread's parent cursor so core.synthesize (and everything under it)
   // nests beneath this stage; the record itself is emitted at the end when
   // the stage's end point is known.
-  const obs::SpanId exec_span = traced ? obs::span_allocate_id() : 0;
+  const obs::SpanId exec_span = stage_id();
   auto probe_end = started_at;
   const bool use_cache = options_.cache && request.options.use_cache;
   {
@@ -183,10 +184,10 @@ Served SynthesisEngine::execute(const SynthesisRequest& request,
       const std::string key = content_key(request);
       served.result = cache_.lookup(key);
       probe_end = std::chrono::steady_clock::now();
-      if (traced) {
+      if (armed) {
         obs::SpanRecord probe = obs::span_record_between(
-            "service.cache_probe", obs::span_allocate_id(), root,
-            /*async=*/false, started_at, probe_end);
+            "service.cache_probe", stage_id(), root, /*async=*/false, started_at,
+            probe_end);
         add_note(probe, "hit", served.result != nullptr ? 1 : 0);
         obs::span_emit(probe);
       }
@@ -206,12 +207,9 @@ Served SynthesisEngine::execute(const SynthesisRequest& request,
 
   const auto finished_at = std::chrono::steady_clock::now();
   served.exec_ns = ns_between(started_at, finished_at);
-  obs::timer_record_ns("service.request.exec", served.exec_ns);
-  obs::histogram_record("service.request.latency_s",
-                        1e-9 * static_cast<double>(served.latency_ns()));
-  if (traced) {
+  if (armed) {
     // [probe_end, finished_at]: cache_probe + execute partition
-    // [started_at, finished_at], so the two stage spans sum to exec_ns.
+    // [started_at, finished_at], so the two stages sum to exec_ns.
     obs::SpanRecord rec = obs::span_record_between("service.execute", exec_span, root,
                                                    /*async=*/false, probe_end,
                                                    finished_at);
@@ -235,15 +233,6 @@ void SynthesisEngine::report_if_slow(const SynthesisRequest& request,
                1e-6 * static_cast<double>(served.queue_wait_ns),
                1e-6 * static_cast<double>(served.exec_ns),
                served.cache_hit ? 1 : 0, key_hex.c_str());
-  if (obs::trace_enabled()) {
-    obs::trace_emit({obs::TraceKind::kSlowRequest, "service.slow_request",
-                     served.latency_ns(),
-                     {{"latency_ns", static_cast<std::int64_t>(served.latency_ns())},
-                      {"queue_wait_ns", static_cast<std::int64_t>(served.queue_wait_ns)},
-                      {"exec_ns", static_cast<std::int64_t>(served.exec_ns)},
-                      {"cache_hit", served.cache_hit},
-                      {"content_key", key_hex}}});
-  }
 }
 
 std::vector<Served> SynthesisEngine::run_batch(std::vector<SynthesisRequest> requests) {

@@ -1,7 +1,6 @@
 #include "stats/yield.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -9,8 +8,7 @@
 
 #include "base/require.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "stats/parallel.h"
 
 namespace msts::stats {
@@ -180,7 +178,7 @@ TestOutcome evaluate_test_mc(const Normal& param, const SpecLimits& spec,
                              const SpecLimits& threshold, const ErrorModel& error,
                              Rng& rng, int trials, int threads) {
   MSTS_REQUIRE(trials >= 1000, "too few Monte-Carlo trials");
-  obs::ScopedTimer timer("stats.evaluate_test_mc");
+  obs::Span span("stats.evaluate_test_mc");
   obs::counter_add("stats.evaluate_test_mc.trials", static_cast<std::uint64_t>(trials));
 
   // Block partition and per-block RNG streams depend only on `trials`, so
@@ -196,14 +194,7 @@ TestOutcome evaluate_test_mc(const Normal& param, const SpecLimits& spec,
   std::vector<Counts> per_block(static_cast<std::size_t>(nblocks));
   const std::vector<Rng> streams = make_streams(rng.split(), static_cast<std::size_t>(nblocks));
 
-  // Tracing observes each block (stream id, trial range, wall time) without
-  // touching its RNG draws or the serial reduction below, so traced runs stay
-  // bit-identical to untraced ones at every thread count.
-  const bool traced = obs::trace_enabled();
-
   parallel_for_index(static_cast<std::size_t>(nblocks), threads, [&](std::size_t b) {
-    const auto t0 = traced ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point{};
     Rng block_rng = streams[b];
     Counts c;
     const int begin = static_cast<int>(b) * kBlock;
@@ -228,18 +219,6 @@ TestOutcome evaluate_test_mc(const Normal& param, const SpecLimits& spec,
       if (!is_good && accepts) ++c.faulty_accepted;
     }
     per_block[b] = c;
-    if (traced) {
-      const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-      obs::trace_emit({obs::TraceKind::kMcBlock,
-                       "stats.evaluate_test_mc",
-                       b,
-                       {{"stream", static_cast<std::int64_t>(b)},
-                        {"trial_begin", static_cast<std::int64_t>(begin)},
-                        {"trial_end", static_cast<std::int64_t>(end)},
-                        {"wall_ns", static_cast<std::int64_t>(wall_ns)}}});
-    }
   });
 
   long good = 0;

@@ -10,7 +10,6 @@
 
 #include "base/require.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
 #include "obs/span.h"
 #include "stats/parallel.h"
 #include "stats/yield.h"
@@ -174,7 +173,6 @@ ScenarioScore score_scenario(const Scenario& scenario, stats::Rng rng,
 SweepResult run_sweep(const std::vector<Scenario>& scenarios,
                       const SweepOptions& opts) {
   MSTS_REQUIRE(!scenarios.empty(), "sweep needs at least one scenario");
-  obs::ScopedTimer timer("sweep.run");
   obs::Span span("sweep.run");
   span.note("scenarios", static_cast<std::int64_t>(scenarios.size()));
   obs::counter_add("sweep.runs");

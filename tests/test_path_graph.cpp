@@ -6,7 +6,9 @@
 // by the differential pair in src/check (test_differential.cpp).
 #include "path/path_graph.h"
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +45,27 @@ TEST(PathConfigValidation, RejectsNonPositiveOrNonFiniteAnalogFs) {
     EXPECT_THROW(validate(c), std::invalid_argument) << bad;
     EXPECT_THROW(ReceiverPath{c}, std::invalid_argument) << bad;
   }
+}
+
+// The LO is simulated at analog_fs: 20 MHz at the reference 32 MHz rate is
+// above Nyquist and must be refused with a message naming the field.
+TEST(PathConfigValidation, RejectsLoOutsideAnalogNyquist) {
+  for (const double bad : {20.0e6, 16.0e6, 0.0, -1.0e6,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    PathConfig c = reference_path_config();
+    c.lo.freq_hz = bad;
+    try {
+      validate(c);
+      ADD_FAILURE() << "accepted lo.freq_hz = " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("lo.freq_hz"), std::string::npos)
+          << e.what();
+    }
+  }
+  PathConfig ok = reference_path_config();
+  ok.lo.freq_hz = 15.9e6;
+  EXPECT_NO_THROW(validate(ok));
 }
 
 TEST(PathConfigValidation, RejectsZeroDecimation) {
@@ -165,6 +188,25 @@ TEST(PathGraphValidation, PerBlockRulesApplyInsideTheGraph) {
   g = canonical_graph();
   g.analog_fs = -1.0;
   EXPECT_THROW(validate(g), std::invalid_argument);
+}
+
+TEST(PathGraphValidation, RejectsLoOutsideAnalogNyquist) {
+  for (const double bad : {20.0e6, 16.0e6, 0.0, -1.0e6,
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    PathGraphConfig g = canonical_graph();
+    g.blocks[1].lo.freq_hz = bad;
+    try {
+      validate(g);
+      ADD_FAILURE() << "accepted lo.freq_hz = " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("lo.freq_hz"), std::string::npos)
+          << e.what();
+    }
+  }
+  PathGraphConfig ok = canonical_graph();
+  ok.blocks[1].lo.freq_hz = 15.9e6;
+  EXPECT_NO_THROW(validate(ok));
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "service/cache.h"
 #include "service/request.h"
 
@@ -389,7 +388,6 @@ class ObsGuard {
   ObsGuard() : saved_(obs::current_config()) {}
   ~ObsGuard() {
     obs::configure(saved_);
-    (void)obs::trace_take();
     (void)obs::spans_drain();
   }
 
@@ -402,6 +400,7 @@ TEST(ServiceSpans, RequestSpanTreesReconcileExactlyWithTimers) {
   obs::Config config;
   config.trace = true;
   obs::configure(config);
+  obs::Registry::instance().reset();
   (void)obs::spans_drain();
 
   constexpr int kRequests = 8;
@@ -483,6 +482,21 @@ TEST(ServiceSpans, RequestSpanTreesReconcileExactlyWithTimers) {
   }
   EXPECT_EQ(queue_wait_sum, served_queue_sum);
   EXPECT_EQ(probe_plus_exec_sum, served_exec_sum);
+  // The stage timers are fed by the same records, so they reconcile too.
+  std::uint64_t timer_queue_sum = 0;
+  std::uint64_t timer_exec_sum = 0;
+  for (const obs::Metric& m : obs::Registry::instance().snapshot()) {
+    if (m.name == "service.request") {
+      EXPECT_EQ(m.count, std::uint64_t{kRequests});
+    }
+    if (m.name == "service.queue_wait") timer_queue_sum += m.total_ns;
+    if (m.name == "service.cache_probe" || m.name == "service.execute") {
+      timer_exec_sum += m.total_ns;
+    }
+  }
+  EXPECT_EQ(timer_queue_sum, served_queue_sum);
+  EXPECT_EQ(timer_exec_sum, served_exec_sum);
+  obs::Registry::instance().reset();
   // Roots close after fulfillment, so they cover at least the full latency.
   std::uint64_t root_sum = 0;
   for (const obs::SpanRecord* r : roots) root_sum += r->dur_ns;
@@ -496,11 +510,11 @@ TEST(ServiceSpans, SlowRequestThresholdCountsLogsAndTraces) {
   config.trace = true;
   obs::configure(config);
   obs::Registry::instance().reset();
-  (void)obs::trace_take();
   (void)obs::spans_drain();
 
   const SynthesisRequest request = make_request(5);
   const std::string expected_key = content_key(request);
+  testing::internal::CaptureStderr();
   {
     EngineOptions options;
     options.workers = 1;
@@ -508,28 +522,30 @@ TEST(ServiceSpans, SlowRequestThresholdCountsLogsAndTraces) {
     SynthesisEngine engine(options);
     (void)engine.submit(request).get();
   }
+  const std::string log = testing::internal::GetCapturedStderr();
 
   std::uint64_t slow_count = 0;
+  std::uint64_t request_stages = 0;
   for (const obs::Metric& m : obs::Registry::instance().snapshot()) {
     if (m.name == "service.slow_requests") slow_count = m.count;
+    if (m.name == "service.request") request_stages = m.count;
   }
   EXPECT_EQ(slow_count, 1u);
+  EXPECT_EQ(request_stages, 1u);
+  std::size_t traced_roots = 0;
+  for (const obs::SpanRecord& s : obs::spans_drain()) {
+    if (std::string_view(s.name) == "service.request") ++traced_roots;
+  }
+  EXPECT_EQ(traced_roots, 1u);
 
-  const auto events = obs::trace_take();
-  const obs::TraceEvent* slow = nullptr;
-  for (const obs::TraceEvent& e : events) {
-    if (e.kind == obs::TraceKind::kSlowRequest) slow = &e;
-  }
-  ASSERT_NE(slow, nullptr);
-  std::string key_hex;
-  std::int64_t latency_ns = -1;
-  for (const auto& [k, v] : slow->fields) {
-    if (k == "content_key") key_hex = std::get<std::string>(v);
-    if (k == "latency_ns") latency_ns = std::get<std::int64_t>(v);
-  }
-  EXPECT_GT(latency_ns, 0);
-  // The hex key replays to the exact request bytes.
-  ASSERT_EQ(key_hex.size(), expected_key.size() * 2);
+  // One stderr line, whose hex key replays to the exact request bytes.
+  ASSERT_NE(log.find("[service] slow request: latency "), std::string::npos) << log;
+  const std::string marker = "content_key=";
+  const std::size_t at = log.find(marker);
+  ASSERT_NE(at, std::string::npos) << log;
+  const std::size_t begin = at + marker.size();
+  const std::string key_hex = log.substr(begin, log.find('\n', begin) - begin);
+  ASSERT_EQ(key_hex.size(), expected_key.size() * 2) << log;
   std::string decoded;
   for (std::size_t i = 0; i < key_hex.size(); i += 2) {
     decoded.push_back(static_cast<char>(
@@ -553,9 +569,14 @@ TEST(ServiceSpans, SlowRequestThresholdDisabledByDefaultAndEnvStrict) {
     SynthesisEngine engine(options);
     (void)engine.submit(make_request(1)).get();
   }
+  std::uint64_t request_stages = 0;
   for (const obs::Metric& m : obs::Registry::instance().snapshot()) {
     EXPECT_NE(m.name, "service.slow_requests");
+    if (m.name == "service.request") request_stages = m.count;
   }
+  // Metrics alone arm the request's stage timers; the timeline stays empty.
+  EXPECT_EQ(request_stages, 1u);
+  EXPECT_TRUE(obs::spans_drain().empty());
 
   // A malformed or out-of-range MSTS_SLOW_REQUEST_S fails engine
   // construction fast, with the same strict-env contract as MSTS_THREADS
