@@ -13,13 +13,15 @@
 #include "check/generators.h"
 #include "digital/fault_sim.h"
 #include "digital/faults.h"
+#include "digital/fir.h"
 #include "digital/sim.h"
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
+#include "dsp/fir_design.h"
 #include "dsp/oscillator.h"
 #include "dsp/tonegen.h"
 #include "dsp/window.h"
-#include "path/workspace.h"
+#include "path/path_graph.h"
 #include "stats/yield.h"
 
 namespace msts::check {
@@ -251,17 +253,27 @@ analog::Signal make_case_rf(const PathCase& c) {
   return rf;
 }
 
-// Flattens the observable outputs of one transient: the full-precision FIR
-// output plus its volts conversion.
-std::vector<double> flatten_trace(const path::ReceiverPath& p,
-                                  const path::ReceiverPath::Trace& t,
-                                  const std::vector<double>& volts) {
+// Flattens the observable outputs of one transient: ADC codes, the
+// full-precision FIR output, its volts conversion and one point of the FIR
+// response.
+std::vector<double> flatten_outputs(const std::vector<std::int64_t>& adc_codes,
+                                    const std::vector<std::int64_t>& filter_out,
+                                    const std::vector<double>& volts,
+                                    double fir_magnitude) {
   std::vector<double> out;
-  out.reserve(t.filter_out.size() + volts.size() + 1);
-  for (std::int64_t v : t.filter_out) out.push_back(static_cast<double>(v));
+  out.reserve(adc_codes.size() + filter_out.size() + volts.size() + 1);
+  for (std::int64_t v : adc_codes) out.push_back(static_cast<double>(v));
+  for (std::int64_t v : filter_out) out.push_back(static_cast<double>(v));
   out.insert(out.end(), volts.begin(), volts.end());
-  out.push_back(p.fir_magnitude_at(0.1 * p.config().digital_fs()));
+  out.push_back(fir_magnitude);
   return out;
+}
+
+std::vector<double> flatten_trace(const path::PathGraph& g,
+                                  const path::PathGraph::Trace& t,
+                                  const std::vector<double>& volts) {
+  return flatten_outputs(t.adc_codes, t.filter_out, volts,
+                         g.fir_magnitude_at(0.1 * g.config().digital_fs()));
 }
 
 }  // namespace
@@ -270,73 +282,79 @@ Report check_path_workspace_vs_allocating_run(const RunOptions& opts) {
   using Case = PathCase;
   // One workspace shared across every case: steady-state reuse across
   // different record lengths and configs is exactly the contract under test.
-  auto ws = std::make_shared<path::PathWorkspace>();
+  auto ws = std::make_shared<path::GraphWorkspace>();
   return differential<Case>(
       "path_workspace_vs_allocating_run",
       [](stats::Rng& rng) { return random_path_case(rng); },
       [ws](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
-        const analog::Signal rf = make_case_rf(c);
-        const auto& trace = p.run(rf, rng, *ws);
-        p.filter_output_volts_into(trace, ws->volts);
-        return flatten_trace(p, trace, ws->volts);
+        const auto g = path::PathGraph::sampled(path::graph_from_config(c.cfg), rng);
+        const auto& trace = g.run(make_case_rf(c), rng, *ws);
+        g.output_volts_into(trace, ws->volts);
+        return flatten_trace(g, trace, ws->volts);
       },
       [](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
-        const analog::Signal rf = make_case_rf(c);
-        const path::ReceiverPath::Trace trace = p.run(rf, rng);
-        const std::vector<double> volts = p.filter_output_volts(trace);
-        return flatten_trace(p, trace, volts);
+        const auto g = path::PathGraph::sampled(path::graph_from_config(c.cfg), rng);
+        const path::PathGraph::Trace trace = g.run(make_case_rf(c), rng);
+        return flatten_trace(g, trace, g.output_volts(trace));
       },
       [](const Case& c, obs::json::Writer& w) { describe_path_case(c, w); },
       Tolerance::bit_identical(), opts);
 }
 
 // ---------------------------------------------------------------------------
-// Generic path-graph walk vs the legacy ReceiverPath transient. The fast side
-// runs the canonical instance through PathGraph::run (the generic stage
-// walker any topology uses); the golden side is the historical hand-rolled
-// amp→mixer→lpf→adc→fir body. Both sample the same manufactured path from
-// the same stream, so every output — ADC codes, full-precision FIR words,
-// the volts conversion and the FIR response — must be bit-identical. This is
-// the canonical-instance equivalence contract of path/path_graph.h.
+// Generic path-graph walk vs an explicit Fig. 6 composition. The fast side
+// samples and runs the canonical graph through PathGraph (the generic stage
+// walker any topology uses). The golden side composes the paper's chain by
+// hand from the flat PathConfig: each block sampled in the documented draw
+// order (ADC, LPF, LO, mixer, amplifier), then amp → LO/mixer → LPF → ADC
+// through the value-form block APIs, and the FIR as a stepwise
+// digital::FirModel. Both draw from the same stream, so every output — ADC
+// codes, full-precision FIR words, the volts conversion and the FIR
+// response — must be bit-identical.
 // ---------------------------------------------------------------------------
 
-Report check_path_graph_vs_receiver_path(const RunOptions& opts) {
+Report check_path_graph_vs_fig6_composition(const RunOptions& opts) {
   using Case = PathCase;
-  auto flatten_graph = [](const path::PathGraph& g,
-                          const path::PathGraph::Trace& t,
-                          const std::vector<double>& volts) {
-    std::vector<double> out;
-    out.reserve(t.adc_codes.size() + t.filter_out.size() + volts.size() + 1);
-    for (std::int64_t v : t.adc_codes) out.push_back(static_cast<double>(v));
-    for (std::int64_t v : t.filter_out) out.push_back(static_cast<double>(v));
-    out.insert(out.end(), volts.begin(), volts.end());
-    out.push_back(g.fir_magnitude_at(0.1 * g.config().digital_fs()));
-    return out;
-  };
   return differential<Case>(
-      "path_graph_vs_receiver_path",
+      "path_graph_vs_fig6_composition",
       [](stats::Rng& rng) { return random_path_case(rng); },
-      [flatten_graph](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
-        const analog::Signal rf = make_case_rf(c);
-        const path::PathGraph::Trace trace = p.graph().run(rf, rng);
-        return flatten_graph(p.graph(), trace, p.graph().output_volts(trace));
+      [](const Case& c, stats::Rng& rng) {
+        const auto g = path::PathGraph::sampled(path::graph_from_config(c.cfg), rng);
+        const path::PathGraph::Trace trace = g.run(make_case_rf(c), rng);
+        return flatten_trace(g, trace, g.output_volts(trace));
       },
       [](const Case& c, stats::Rng& rng) {
-        const path::ReceiverPath p = path::ReceiverPath::sampled(c.cfg, rng);
+        const path::PathConfig& cfg = c.cfg;
+        const analog::Adc adc = analog::Adc::sampled(cfg.adc, rng);
+        const analog::LowPassFilter lpf = analog::LowPassFilter::sampled(cfg.lpf, rng);
+        const analog::LocalOscillator lo = analog::LocalOscillator::sampled(cfg.lo, rng);
+        const analog::Mixer mixer = analog::Mixer::sampled(cfg.mixer, rng);
+        const analog::Amplifier amp = analog::Amplifier::sampled(cfg.amp, rng);
+        const std::vector<std::int32_t> coeffs = dsp::quantize_coefficients(
+            dsp::design_lowpass(cfg.fir_taps, cfg.fir_cutoff_norm),
+            cfg.fir_coeff_frac_bits);
+
         const analog::Signal rf = make_case_rf(c);
-        const path::ReceiverPath::Trace trace = p.run(rf, rng);
-        const std::vector<double> volts = p.filter_output_volts(trace);
-        std::vector<double> out;
-        out.reserve(trace.adc_codes.size() + trace.filter_out.size() +
-                    volts.size() + 1);
-        for (std::int64_t v : trace.adc_codes) out.push_back(static_cast<double>(v));
-        for (std::int64_t v : trace.filter_out) out.push_back(static_cast<double>(v));
-        out.insert(out.end(), volts.begin(), volts.end());
-        out.push_back(p.fir_magnitude_at(0.1 * c.cfg.digital_fs()));
-        return out;
+        const analog::Signal after_amp = amp.process(rf, rng);
+        const analog::Signal lo_wave = lo.generate(rf.fs, rf.size(), rng);
+        const analog::Signal after_mixer = mixer.process(after_amp, lo_wave, rng);
+        const analog::Signal after_lpf = lpf.process(after_mixer);
+        const std::vector<std::int64_t> codes =
+            adc.digitize(after_lpf, cfg.adc_decimation);
+
+        digital::FirModel fir(coeffs, adc.bits());
+        std::vector<std::int64_t> filter_out;
+        for (std::int64_t x : codes) filter_out.push_back(fir.step(x));
+        const double scale =
+            adc.lsb() / static_cast<double>(1 << cfg.fir_coeff_frac_bits);
+        std::vector<double> volts;
+        for (std::int64_t v : filter_out) volts.push_back(static_cast<double>(v) * scale);
+
+        const double fs_d = cfg.digital_fs();
+        return flatten_outputs(
+            codes, filter_out, volts,
+            std::abs(dsp::frequency_response_fixed(coeffs, cfg.fir_coeff_frac_bits,
+                                                   0.1 * fs_d / fs_d)));
       },
       [](const Case& c, obs::json::Writer& w) { describe_path_case(c, w); },
       Tolerance::bit_identical(), opts);
@@ -774,7 +792,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_goertzel_vs_direct_correlation(opts),
       check_oscillator_vs_libm_trig(opts),
       check_path_workspace_vs_allocating_run(opts),
-      check_path_graph_vs_receiver_path(opts),
+      check_path_graph_vs_fig6_composition(opts),
       check_parallel_mc_vs_serial(opts),
       check_guard_band_analytic_vs_mc(opts),
       check_simd_window_vs_scalar(opts),

@@ -101,7 +101,7 @@ DigitalTestPlan DigitalTester::plan(const DigitalTestOptions& options) const {
   // (quantisation texture, INL distortion forests, clock-spur
   // intermodulation, phase-noise skirts) is thereby part of the mask base
   // and is never mistaken for a fault signature.
-  const path::ReceiverPath ref_path(config_);
+  const path::PathGraph ref_path(path::graph_from_config(config_));
   stats::Rng ref_rng(0xD17E5EEDull ^ options.record);
   analog::Signal ref_rf;
   ref_rf.fs = config_.analog_fs;
@@ -213,14 +213,14 @@ std::vector<std::int64_t> DigitalTester::ideal_codes(const DigitalTestPlan& plan
 }
 
 std::vector<std::int64_t> DigitalTester::path_codes(const DigitalTestPlan& plan,
-                                                    const path::ReceiverPath& path,
+                                                    const path::PathGraph& path,
                                                     stats::Rng& noise_rng) const {
+  const path::PathGraphConfig& g = path.config();
   analog::Signal rf;
-  rf.fs = config_.analog_fs;
-  rf.samples = dsp::generate_tones(plan.rf_tones, 0.0, config_.analog_fs,
-                                   plan.record * config_.adc_decimation);
-  const auto trace = path.run(rf, noise_rng);
-  return trace.adc_codes;
+  rf.fs = g.analog_fs;
+  rf.samples = dsp::generate_tones(plan.rf_tones, 0.0, g.analog_fs,
+                                   plan.record * g.adc_decimation());
+  return path.run(rf, noise_rng).adc_codes;
 }
 
 CampaignResult DigitalTester::exact_campaign(std::span<const std::int64_t> codes,

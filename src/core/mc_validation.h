@@ -12,7 +12,7 @@
 
 #include "core/coverage.h"
 #include "path/measurements.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/rng.h"
 
 namespace msts::core {

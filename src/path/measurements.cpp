@@ -7,15 +7,28 @@
 #include "dsp/tonegen.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "path/workspace.h"
 
 namespace msts::path {
 
 namespace {
 
 // Analog record length backing a digital record of opts.digital_record.
-std::size_t analog_record(const PathConfig& c, const MeasureOptions& opts) {
-  return opts.digital_record * c.adc_decimation;
+std::size_t analog_record(const PathGraphConfig& g, const MeasureOptions& opts) {
+  return opts.digital_record * g.adc_decimation();
+}
+
+// The config of the first block of `kind`; throws naming the block when the
+// graph has none.
+const BlockConfig& required_block(const PathGraph& path, BlockKind kind) {
+  const auto i = path.config().index_of(kind);
+  MSTS_REQUIRE(i.has_value(), "path graph has no " + to_string(kind) +
+                                  " block, which this measurement needs");
+  return path.config().blocks[*i];
+}
+
+// Programmed LO frequency: RF stimuli sit at this plus the IF.
+double nominal_lo_hz(const PathGraph& path) {
+  return required_block(path, BlockKind::kMixer).lo.freq_hz;
 }
 
 // Per-thread scratch for the measurement loops below. Sweeps (P1dB, cutoff)
@@ -24,7 +37,7 @@ std::size_t analog_record(const PathConfig& c, const MeasureOptions& opts) {
 // Every buffer is fully overwritten per run, so results are independent of
 // what the previous measurement on this thread left behind.
 struct MeasureScratch {
-  PathWorkspace ws;
+  GraphWorkspace ws;
   analog::Signal rf;
   std::vector<dsp::Tone> tones;
 };
@@ -36,18 +49,19 @@ MeasureScratch& scratch() {
 
 // Builds the RF stimulus into s.rf: one tone per IF frequency, translated up
 // by the nominal LO frequency.
-void make_rf(const ReceiverPath& path, std::span<const double> if_freqs,
+void make_rf(const PathGraph& path, std::span<const double> if_freqs,
              std::span<const double> amps, const MeasureOptions& opts,
              MeasureScratch& s) {
   MSTS_REQUIRE(if_freqs.size() == amps.size(), "one amplitude per tone");
-  const PathConfig& c = path.config();
+  const PathGraphConfig& g = path.config();
+  const double lo_hz = nominal_lo_hz(path);
   s.tones.clear();
   s.tones.reserve(if_freqs.size());
   for (std::size_t i = 0; i < if_freqs.size(); ++i) {
-    s.tones.push_back(dsp::Tone{c.lo.freq_hz + if_freqs[i], amps[i], 0.0});
+    s.tones.push_back(dsp::Tone{lo_hz + if_freqs[i], amps[i], 0.0});
   }
-  s.rf.fs = c.analog_fs;
-  dsp::generate_tones_into(s.tones, 0.0, c.analog_fs, analog_record(c, opts),
+  s.rf.fs = g.analog_fs;
+  dsp::generate_tones_into(s.tones, 0.0, g.analog_fs, analog_record(g, opts),
                            s.rf.samples);
 }
 
@@ -58,7 +72,12 @@ double coherent_if_freq(const PathConfig& config, const MeasureOptions& opts,
   return dsp::coherent_frequency(config.digital_fs(), opts.digital_record, target_if);
 }
 
-dsp::Spectrum run_two_port(const ReceiverPath& path, std::span<const double> if_freqs,
+double coherent_if_freq(const PathGraphConfig& graph, const MeasureOptions& opts,
+                        double target_if) {
+  return dsp::coherent_frequency(graph.digital_fs(), opts.digital_record, target_if);
+}
+
+dsp::Spectrum run_two_port(const PathGraph& path, std::span<const double> if_freqs,
                            std::span<const double> amplitudes_vpeak,
                            stats::Rng& noise_rng, const MeasureOptions& opts) {
   obs::counter_add("path.run_two_port.calls");
@@ -66,11 +85,11 @@ dsp::Spectrum run_two_port(const ReceiverPath& path, std::span<const double> if_
   MeasureScratch& s = scratch();
   make_rf(path, if_freqs, amplitudes_vpeak, opts, s);
   const auto& trace = path.run(s.rf, noise_rng, s.ws);
-  path.filter_output_volts_into(trace, s.ws.volts);
+  path.output_volts_into(trace, s.ws.volts);
   return dsp::Spectrum(s.ws.volts, trace.digital_fs, opts.window);
 }
 
-double measure_path_gain_db(const ReceiverPath& path, double if_freq, double amp_vpeak,
+double measure_path_gain_db(const PathGraph& path, double if_freq, double amp_vpeak,
                             stats::Rng& noise_rng, const MeasureOptions& opts) {
   MSTS_REQUIRE(amp_vpeak > 0.0, "stimulus amplitude must be positive");
   obs::Span span("path.measure_path_gain_db");
@@ -83,7 +102,7 @@ double measure_path_gain_db(const ReceiverPath& path, double if_freq, double amp
   return db_from_amplitude_ratio(tone.amplitude / fir_mag / amp_vpeak);
 }
 
-TwoToneResponse measure_two_tone(const ReceiverPath& path, double f1_if, double f2_if,
+TwoToneResponse measure_two_tone(const PathGraph& path, double f1_if, double f2_if,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
   MSTS_REQUIRE(f1_if != f2_if, "two-tone test needs distinct tones");
@@ -105,7 +124,7 @@ TwoToneResponse measure_two_tone(const ReceiverPath& path, double f1_if, double 
   return r;
 }
 
-double measure_path_p1db_dbm(const ReceiverPath& path, double if_freq,
+double measure_path_p1db_dbm(const PathGraph& path, double if_freq,
                              stats::Rng& noise_rng, const MeasureOptions& opts) {
   obs::Span span("path.measure_path_p1db_dbm");
   // Establish the small-signal gain, then raise the drive until it has
@@ -138,17 +157,18 @@ double measure_path_p1db_dbm(const ReceiverPath& path, double if_freq,
   return 0.5 * (lo_dbm + hi_dbm);
 }
 
-double measure_path_cutoff_hz(const ReceiverPath& path, double amp_vpeak,
+double measure_path_cutoff_hz(const PathGraph& path, double amp_vpeak,
                               stats::Rng& noise_rng, const MeasureOptions& opts) {
   obs::Span span("path.measure_path_cutoff_hz");
-  const PathConfig& c = path.config();
+  const PathGraphConfig& c = path.config();
+  const double fc_nominal = required_block(path, BlockKind::kLpf).lpf.cutoff_hz.nominal;
   // Reference gain deep in the pass-band.
   const double f_ref = coherent_if_freq(c, opts, 100e3);
   const double g_ref = measure_path_gain_db(path, f_ref, amp_vpeak, noise_rng, opts);
 
   // Bisect the -3 dB frequency between the reference and 1.5x nominal fc.
   double lo = f_ref;
-  double hi = 1.5 * c.lpf.cutoff_hz.nominal;
+  double hi = 1.5 * fc_nominal;
   for (int iter = 0; iter < 10; ++iter) {
     const double mid = coherent_if_freq(c, opts, 0.5 * (lo + hi));
     const double g = measure_path_gain_db(path, mid, amp_vpeak, noise_rng, opts);
@@ -162,24 +182,26 @@ double measure_path_cutoff_hz(const ReceiverPath& path, double amp_vpeak,
   return 0.5 * (lo + hi);
 }
 
-double measure_output_dc_v(const ReceiverPath& path, stats::Rng& noise_rng,
+double measure_output_dc_v(const PathGraph& path, stats::Rng& noise_rng,
                            const MeasureOptions& opts) {
   obs::Span span("path.measure_output_dc_v");
+  const PathGraphConfig& g = path.config();
   MeasureScratch& s = scratch();
-  s.rf.fs = path.config().analog_fs;
-  s.rf.samples.assign(analog_record(path.config(), opts), 0.0);
+  s.rf.fs = g.analog_fs;
+  s.rf.samples.assign(analog_record(g, opts), 0.0);
   const auto& trace = path.run(s.rf, noise_rng, s.ws);
-  path.filter_output_volts_into(trace, s.ws.volts);
+  path.output_volts_into(trace, s.ws.volts);
   const std::vector<double>& volts = s.ws.volts;
   // Skip the FIR warm-up, then average.
-  const std::size_t skip = path.fir_coeffs().size();
+  const auto fir = g.index_of(BlockKind::kFir);
+  const std::size_t skip = fir ? path.fir_at(*fir).coeffs.size() : 0;
   MSTS_REQUIRE(volts.size() > 2 * skip, "record too short for DC measurement");
   double acc = 0.0;
   for (std::size_t i = skip; i < volts.size(); ++i) acc += volts[i];
   return acc / static_cast<double>(volts.size() - skip);
 }
 
-dsp::SpectralReport measure_spectrum_report(const ReceiverPath& path, double if_freq,
+dsp::SpectralReport measure_spectrum_report(const PathGraph& path, double if_freq,
                                             double amp_vpeak, stats::Rng& noise_rng,
                                             const MeasureOptions& opts) {
   obs::Span span("path.measure_spectrum_report");
@@ -191,21 +213,28 @@ dsp::SpectralReport measure_spectrum_report(const ReceiverPath& path, double if_
   return dsp::analyze_spectrum(spectrum, ao);
 }
 
-double measure_group_delay_s(const ReceiverPath& path, double if_freq,
+double measure_group_delay_s(const PathGraph& path, double if_freq,
                              double amp_vpeak, stats::Rng& noise_rng,
                              const MeasureOptions& opts) {
   obs::Span span("path.measure_group_delay_s");
-  const PathConfig& c = path.config();
+  const PathGraphConfig& c = path.config();
   const double bin_w = c.digital_fs() / static_cast<double>(opts.digital_record);
   // The phase difference between the two tones is only known mod 2 pi, so the
   // phase-slope delay is unambiguous only inside +/- 1/(2 df). Estimate the
-  // nominal path delay (linear-phase FIR plus the LPF's analytic group delay
-  // — both known to the tester) and narrow the tone spacing until that
+  // nominal path delay (linear-phase FIR plus the LPFs' analytic group delay
+  // — all known to the tester) and narrow the tone spacing until that
   // estimate fits with margin; spacings stay even-bin so odd-bin snapping
   // keeps both tones coherent and distinct.
-  const double nominal_delay_s =
-      (static_cast<double>(c.fir_taps) - 1.0) / (2.0 * c.digital_fs()) +
-      path.lpf().group_delay_at(if_freq, c.analog_fs);
+  double nominal_delay_s = 0.0;
+  if (const auto fir = c.index_of(BlockKind::kFir)) {
+    nominal_delay_s += (static_cast<double>(c.blocks[*fir].fir_taps) - 1.0) /
+                       (2.0 * c.digital_fs());
+  }
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (path.kind_at(i) == BlockKind::kLpf) {
+      nominal_delay_s += path.lpf_at(i).group_delay_at(if_freq, c.analog_fs);
+    }
+  }
   double half_bins = 4.0;  // tones at if_freq -/+ half_bins * bin_w
   while (half_bins > 2.0 &&
          nominal_delay_s > 0.8 / (2.0 * 2.0 * half_bins * bin_w)) {
@@ -240,7 +269,7 @@ double measure_group_delay_s(const ReceiverPath& path, double if_freq,
   return -dphi / (kTwoPi * (f2 - f1));
 }
 
-double measure_lo_freq_error_ppm(const ReceiverPath& path, double if_freq,
+double measure_lo_freq_error_ppm(const PathGraph& path, double if_freq,
                                  double amp_vpeak, stats::Rng& noise_rng,
                                  const MeasureOptions& opts) {
   obs::Span span("path.measure_lo_freq_error_ppm");
@@ -249,12 +278,12 @@ double measure_lo_freq_error_ppm(const ReceiverPath& path, double if_freq,
   MeasureScratch& s = scratch();
   make_rf(path, freqs, amps, opts, s);
   const auto& trace = path.run(s.rf, noise_rng, s.ws);
-  path.filter_output_volts_into(trace, s.ws.volts);
+  path.output_volts_into(trace, s.ws.volts);
   // The tone comes out at f_rf - f_lo_actual = if_freq - lo_error.
   const double measured =
       dsp::estimate_tone_frequency(s.ws.volts, trace.digital_fs, if_freq);
   const double lo_error_hz = if_freq - measured;
-  return lo_error_hz / path.config().lo.freq_hz * 1e6;
+  return lo_error_hz / nominal_lo_hz(path) * 1e6;
 }
 
 }  // namespace msts::path

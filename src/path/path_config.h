@@ -1,8 +1,8 @@
 // Flat configuration of the canonical receiver path (the paper's Fig. 6
-// chain). This is the original, ergonomic description clients hand to
-// ReceiverPath / TestSynthesizer; the composable-graph layer
-// (path/path_graph.h) derives its canonical PathGraphConfig from it via
-// graph_from_config(), and both describe the exact same path.
+// chain). This is the ergonomic description clients hand to
+// TestSynthesizer, DigitalTester and the service; the composable-graph
+// layer (path/path_graph.h) derives its canonical PathGraphConfig from it
+// via graph_from_config(), and both describe the exact same path.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +46,12 @@ struct PathConfig {
 PathConfig reference_path_config();
 
 /// Construction-time validation shared by every PathConfig consumer
-/// (ReceiverPath, PathAttrModel, graph_from_config). Throws via MSTS_REQUIRE
-/// on the first violated rule:
+/// (PathAttrModel, graph_from_config and everything built on it). Throws
+/// via MSTS_REQUIRE on the first violated rule, naming the field:
 ///   * analog_fs must be a positive, finite rate;
+///   * every amp and mixer Uncertain field has a finite nominal;
+///   * lo.freq_hz finite and in (0, analog_fs / 2);
+///   * lo.amplitude finite and > 0;
 ///   * adc_decimation >= 1;
 ///   * adc bits inside the digital filter's input-width budget [2, 24];
 ///   * lpf order a positive even biquad-cascade order;

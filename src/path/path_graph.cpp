@@ -1,5 +1,6 @@
 #include "path/path_graph.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -96,12 +97,39 @@ void validate_adc_block(const analog::AdcParams& adc, std::size_t decimation) {
   MSTS_REQUIRE(adc.vref > 0.0, "adc vref must be > 0");
 }
 
+// A non-finite nominal would otherwise surface layers down (the attribute
+// model's dB conversions), under a message that names no field.
+void require_finite_nominal(const stats::Uncertain& u, const char* field) {
+  MSTS_REQUIRE(std::isfinite(u.nominal), std::string(field) + " must be finite");
+}
+
+void validate_amp_block(const analog::AmpParams& amp) {
+  require_finite_nominal(amp.gain_db, "amp.gain_db");
+  require_finite_nominal(amp.iip3_dbm, "amp.iip3_dbm");
+  require_finite_nominal(amp.iip2_dbm, "amp.iip2_dbm");
+  require_finite_nominal(amp.p1db_in_dbm, "amp.p1db_in_dbm");
+  require_finite_nominal(amp.nf_db, "amp.nf_db");
+  require_finite_nominal(amp.dc_offset_v, "amp.dc_offset_v");
+}
+
 // The LO waveform is generated at the analog simulation rate, so it must sit
 // below that rate's Nyquist frequency.
 void validate_lo_block(const analog::LoParams& lo, double analog_fs) {
   MSTS_REQUIRE(std::isfinite(lo.freq_hz) && lo.freq_hz > 0.0 &&
                    lo.freq_hz < analog_fs / 2.0,
                "lo.freq_hz must be finite and in (0, analog_fs / 2)");
+  MSTS_REQUIRE(std::isfinite(lo.amplitude) && lo.amplitude > 0.0,
+               "lo.amplitude must be finite and > 0");
+}
+
+void validate_mixer_block(const analog::MixerParams& mixer,
+                          const analog::LoParams& lo, double analog_fs) {
+  require_finite_nominal(mixer.conv_gain_db, "mixer.conv_gain_db");
+  require_finite_nominal(mixer.iip3_dbm, "mixer.iip3_dbm");
+  require_finite_nominal(mixer.p1db_in_dbm, "mixer.p1db_in_dbm");
+  require_finite_nominal(mixer.lo_isolation_db, "mixer.lo_isolation_db");
+  require_finite_nominal(mixer.nf_db, "mixer.nf_db");
+  validate_lo_block(lo, analog_fs);
 }
 
 void validate_lpf_block(const analog::LpfParams& lpf) {
@@ -130,7 +158,8 @@ std::vector<std::int32_t> design_fir(std::size_t taps, double cutoff_norm,
 void validate(const PathConfig& config) {
   MSTS_REQUIRE(std::isfinite(config.analog_fs) && config.analog_fs > 0.0,
                "analog_fs must be a positive, finite rate");
-  validate_lo_block(config.lo, config.analog_fs);
+  validate_amp_block(config.amp);
+  validate_mixer_block(config.mixer, config.lo, config.analog_fs);
   validate_adc_block(config.adc, config.adc_decimation);
   validate_lpf_block(config.lpf);
   validate_fir_block(config.fir_taps, config.fir_cutoff_norm,
@@ -151,10 +180,11 @@ void validate(const PathGraphConfig& graph) {
     switch (b.kind) {
       case BlockKind::kAmp:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
+        validate_amp_block(b.amp);
         break;
       case BlockKind::kMixer:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
-        validate_lo_block(b.lo, graph.analog_fs);
+        validate_mixer_block(b.mixer, b.lo, graph.analog_fs);
         break;
       case BlockKind::kLpf:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
@@ -169,6 +199,49 @@ void validate(const PathGraphConfig& graph) {
         break;
     }
   }
+}
+
+PathConfig reference_path_config() {
+  PathConfig c;
+  c.analog_fs = 32.0e6;
+  c.adc_decimation = 8;
+
+  c.amp.gain_db = stats::Uncertain::from_tolerance(15.0, 1.0);
+  c.amp.iip3_dbm = stats::Uncertain::from_tolerance(10.0, 1.5);
+  c.amp.iip2_dbm = stats::Uncertain::from_tolerance(45.0, 3.0);
+  c.amp.p1db_in_dbm = stats::Uncertain::from_tolerance(0.0, 1.0);
+  c.amp.nf_db = stats::Uncertain::from_tolerance(3.0, 0.5);
+  c.amp.dc_offset_v = stats::Uncertain::from_tolerance(0.0, 2e-3);
+
+  c.mixer.conv_gain_db = stats::Uncertain::from_tolerance(10.0, 1.0);
+  c.mixer.iip3_dbm = stats::Uncertain::from_tolerance(2.0, 1.5);
+  c.mixer.p1db_in_dbm = stats::Uncertain::from_tolerance(-8.0, 1.0);
+  c.mixer.lo_isolation_db = stats::Uncertain::from_tolerance(40.0, 4.0);
+  c.mixer.nf_db = stats::Uncertain::from_tolerance(8.0, 1.0);
+
+  c.lo.freq_hz = 10.0e6;
+  c.lo.freq_error_ppm = stats::Uncertain::from_tolerance(0.0, 10.0);
+  c.lo.phase_noise_rad = stats::Uncertain::from_tolerance(2e-4, 1e-4);
+
+  c.lpf.cutoff_hz = stats::Uncertain::from_tolerance(1.0e6, 5.0e4);
+  c.lpf.passband_gain_db = stats::Uncertain::from_tolerance(0.0, 0.5);
+  c.lpf.order = 4;
+  // 6.4 MHz: folds to 1.6 MHz at the 4 MHz digital rate, so the spur stays
+  // observable (a clock at a multiple of the digital rate would alias to DC).
+  c.lpf.clock_hz = 6.4e6;
+  c.lpf.clock_spur_v = stats::Uncertain::from_tolerance(200e-6, 100e-6);
+
+  c.adc.bits = 12;
+  c.adc.vref = 0.5;
+  c.adc.offset_error_v = stats::Uncertain::from_tolerance(0.0, 1e-3);
+  c.adc.gain_error = stats::Uncertain::from_tolerance(0.0, 0.01);
+  c.adc.inl_peak_lsb = stats::Uncertain::from_tolerance(0.5, 0.3);
+  c.adc.dnl_sigma_lsb = stats::Uncertain::from_tolerance(0.2, 0.1);
+
+  c.fir_taps = 13;
+  c.fir_cutoff_norm = 0.3;
+  c.fir_coeff_frac_bits = 10;
+  return c;
 }
 
 PathGraphConfig graph_from_config(const PathConfig& config) {
@@ -198,10 +271,10 @@ PathGraph::Stage manufacture(const BlockConfig& b, int adc_bits,
       return rng ? analog::Amplifier::sampled(b.amp, *rng) : analog::Amplifier(b.amp);
     case BlockKind::kMixer: {
       if (rng) {
-        // Sampling order within the stage is part of the graph contract:
-        // mixer first, then its LO.
-        analog::Mixer mixer = analog::Mixer::sampled(b.mixer, *rng);
+        // Sampling order within the stage is part of the draw-order
+        // contract: the LO first, then its mixer.
         analog::LocalOscillator lo = analog::LocalOscillator::sampled(b.lo, *rng);
+        analog::Mixer mixer = analog::Mixer::sampled(b.mixer, *rng);
         return PathGraph::MixerStage{std::move(mixer), std::move(lo)};
       }
       return PathGraph::MixerStage{analog::Mixer(b.mixer),
@@ -223,50 +296,36 @@ PathGraph::Stage manufacture(const BlockConfig& b, int adc_bits,
   return PathGraph::FirStage{};
 }
 
+const PathGraphConfig& validated(const PathGraphConfig& config) {
+  validate(config);
+  return config;
+}
+
+// Blocks are manufactured back to front: the reverse graph order is the
+// Monte-Carlo draw order (see PathGraph::sampled).
 std::vector<PathGraph::Stage> manufacture_all(const PathGraphConfig& config,
                                               stats::Rng* rng) {
   const int adc_bits = config.blocks[*config.index_of(BlockKind::kAdc)].adc.bits;
   std::vector<PathGraph::Stage> stages;
   stages.reserve(config.blocks.size());
-  for (const BlockConfig& b : config.blocks) {
-    stages.push_back(manufacture(b, adc_bits, rng));
+  for (auto b = config.blocks.rbegin(); b != config.blocks.rend(); ++b) {
+    stages.push_back(manufacture(*b, adc_bits, rng));
   }
+  std::reverse(stages.begin(), stages.end());
   return stages;
-}
-
-BlockKind kind_of_stage(const PathGraph::Stage& s) {
-  if (std::holds_alternative<analog::Amplifier>(s)) return BlockKind::kAmp;
-  if (std::holds_alternative<PathGraph::MixerStage>(s)) return BlockKind::kMixer;
-  if (std::holds_alternative<analog::LowPassFilter>(s)) return BlockKind::kLpf;
-  if (std::holds_alternative<PathGraph::AdcStage>(s)) return BlockKind::kAdc;
-  return BlockKind::kFir;
 }
 
 }  // namespace
 
-PathGraph::PathGraph(PathGraphConfig config, std::vector<Stage> stages)
-    : config_(std::move(config)), stages_(std::move(stages)) {
-  validate(config_);
-  MSTS_REQUIRE(stages_.size() == config_.blocks.size(),
-               "stage list must match the graph block-for-block");
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    MSTS_REQUIRE(kind_of_stage(stages_[i]) == config_.blocks[i].kind,
-                 "stage kind must match the graph block kind");
-  }
-  adc_index_ = *config_.index_of(BlockKind::kAdc);
-}
+PathGraph::PathGraph(const PathGraphConfig& config, stats::Rng* rng)
+    : config_(validated(config)),
+      stages_(manufacture_all(config_, rng)),
+      adc_index_(*config_.index_of(BlockKind::kAdc)) {}
 
-PathGraph::PathGraph(const PathGraphConfig& config)
-    : PathGraph(config, (validate(config), manufacture_all(config, nullptr))) {}
+PathGraph::PathGraph(const PathGraphConfig& config) : PathGraph(config, nullptr) {}
 
 PathGraph PathGraph::sampled(const PathGraphConfig& config, stats::Rng& rng) {
-  validate(config);
-  return PathGraph(config, manufacture_all(config, &rng));
-}
-
-PathGraph PathGraph::from_stages(const PathGraphConfig& config,
-                                 std::vector<Stage> stages) {
-  return PathGraph(config, std::move(stages));
+  return PathGraph(config, &rng);
 }
 
 const analog::Amplifier& PathGraph::amp_at(std::size_t i) const {
@@ -318,14 +377,12 @@ const PathGraph::Trace& PathGraph::run(const analog::Signal& rf,
   Trace& t = ws.trace;
   const bool warm = !t.analog_stages.empty() &&
                     t.analog_stages.front().samples.capacity() >= rf.size();
-  obs::counter_add(warm ? "path.graph.workspace.reuse"
-                        : "path.graph.workspace.grow");
+  obs::counter_add(warm ? "path.workspace.reuse" : "path.workspace.grow");
   t.analog_stages.resize(adc_index_);
 
-  // The stage walk mirrors ReceiverPath::run operation-for-operation on the
-  // canonical graph, including the RNG draw order (amp noise, LO waveform,
-  // mixer noise) — that is the bit-identity contract the differential pair
-  // in src/check enforces.
+  // Noise draws follow the signal: each stage's noise, and a mixer's LO
+  // waveform before its mixer noise. On the canonical graph this is the
+  // Fig. 6 composition the differential pair in src/check pins bit for bit.
   const analog::Signal* cur = &rf;
   for (std::size_t i = 0; i < adc_index_; ++i) {
     analog::Signal& out = t.analog_stages[i];

@@ -1,17 +1,19 @@
 // Composable path graphs: a declarative, ordered block list that a runnable
-// path is composed from — instead of the hard-coded amp→mixer→lpf→adc→fir
-// chain of ReceiverPath.
+// path is composed from.
 //
 // The paper's methodology (attribute propagation, translation, FCL/YL) is
 // defined over an arbitrary mixed-signal path; a PathGraphConfig makes the
 // path structure itself data: any arrangement of amplifier / mixer(+LO) /
 // low-pass-filter blocks in front of exactly one ADC, optionally followed by
-// one digital FIR block. The canonical receiver is just one instance —
-// graph_from_config(PathConfig) produces it, and ReceiverPath executes it
-// bit-identically to the graph walk (differential-checked in src/check).
+// one digital FIR block. The paper's Fig. 6 receiver is just one instance —
+// graph_from_config(PathConfig) produces it. PathGraph is the only path type
+// that runs, samples and is measured; the graph walk is pinned against an
+// explicit block-by-block Fig. 6 composition by a differential pair in
+// src/check.
 //
 // The same BlockConfig list drives three layers:
-//   * PathGraph       — the transient simulator (this header),
+//   * PathGraph       — the transient simulator (this header; measured by
+//                       path/measurements.h),
 //   * PathAttrModel   — the attribute-domain cascade (core/attr_models.h),
 //   * content_key     — the service cache key (service/request.h), which
 //                       serializes block order + every per-block field so two
@@ -87,7 +89,7 @@ struct PathGraphConfig {
 /// Structural + per-block validation. Throws via MSTS_REQUIRE on the first
 /// violation: positive finite analog_fs, exactly one ADC, analog blocks only
 /// in front of it, at most one FIR and only behind it, plus the per-block
-/// rules of validate(PathConfig).
+/// rules of validate(PathConfig) (path/path_config.h).
 void validate(const PathGraphConfig& graph);
 
 /// The canonical graph of a flat PathConfig: amp → mixer → lpf → adc → fir.
@@ -120,18 +122,12 @@ class PathGraph {
   /// Every block at its nominal parameters.
   explicit PathGraph(const PathGraphConfig& config);
 
-  /// Monte-Carlo instance: blocks sampled in graph order (within a mixer
-  /// stage, the mixer draws before its LO). New code should prefer this;
-  /// ReceiverPath::sampled draws in reverse signal order (ADC, LPF, LO,
-  /// mixer, amplifier) and assembles via from_stages().
+  /// Monte-Carlo instance: blocks drawn in reverse graph order, each LO
+  /// before its mixer — on the canonical graph ADC, LPF, LO, mixer,
+  /// amplifier. The draw order is a bit-identity contract (pinned by
+  /// SampledDrawOrder in test_analog_blocks): every Monte-Carlo fingerprint
+  /// depends on it.
   static PathGraph sampled(const PathGraphConfig& config, stats::Rng& rng);
-
-  /// Assembles a graph from blocks manufactured elsewhere. `stages` must
-  /// match `config` block-for-block (kind-checked); this is how ReceiverPath
-  /// re-expresses itself over the graph while keeping its own sampled()
-  /// draw order (ADC, LPF, LO, mixer, amplifier).
-  static PathGraph from_stages(const PathGraphConfig& config,
-                               std::vector<Stage> stages);
 
   /// Everything a transient run produces.
   struct Trace {
@@ -159,7 +155,6 @@ class PathGraph {
   const PathGraphConfig& config() const { return config_; }
   std::size_t size() const { return stages_.size(); }
   BlockKind kind_at(std::size_t i) const { return config_.blocks[i].kind; }
-  const Stage& stage(std::size_t i) const { return stages_[i]; }
 
   /// Typed stage accessors; each requires the block at `i` to be of the
   /// matching kind.
@@ -174,15 +169,24 @@ class PathGraph {
   double fir_magnitude_at(double f) const;
 
  private:
-  PathGraph(PathGraphConfig config, std::vector<Stage> stages);
+  /// Validates `config` and manufactures every block: at nominal when `rng`
+  /// is null, else sampled in the order documented on sampled().
+  PathGraph(const PathGraphConfig& config, stats::Rng* rng);
 
   PathGraphConfig config_;
   std::vector<Stage> stages_;
   std::size_t adc_index_ = 0;
 };
 
-/// Reusable buffer set for repeated PathGraph transients (one per thread;
-/// same contract as PathWorkspace in path/workspace.h).
+/// Reusable buffer set for repeated transient runs.
+///
+/// Measurement procedures (P1dB sweeps, cutoff bisection, Monte-Carlo loops)
+/// run a path dozens of times with identically-sized records. Passing the
+/// same workspace to consecutive runs makes them allocation-free at steady
+/// state: each stage resizes its target (a no-op once capacity exists) and
+/// overwrites every element, so results are bit-identical to the allocating
+/// overload. Not thread-safe: use one per thread (the measurement layer keeps
+/// a thread_local instance).
 struct GraphWorkspace {
   PathGraph::Trace trace;      ///< Result of the most recent run().
   analog::Signal lo_wave;      ///< LO waveform (internal to a mixer stage).

@@ -427,5 +427,35 @@ TEST(SampledDrawOrder, ReceiverPathBlocks) {
   expect_same_state(rng, replay);
 }
 
+// PathGraph::sampled on any topology: reverse graph order, each LO before its
+// mixer. Two amplifiers with different parameters pin which one draws when.
+TEST(SampledDrawOrder, PathGraphBlocks) {
+  const path::PathConfig c;
+  AmpParams if_amp;
+  if_amp.gain_db = stats::Uncertain::from_tolerance(6.0, 0.5);
+  path::PathGraphConfig g;
+  g.analog_fs = c.analog_fs;
+  g.blocks = {path::BlockConfig::make_amp(c.amp),
+              path::BlockConfig::make_mixer(c.mixer, c.lo),
+              path::BlockConfig::make_amp(if_amp),
+              path::BlockConfig::make_lpf(c.lpf),
+              path::BlockConfig::make_adc(c.adc, c.adc_decimation)};
+  stats::Rng rng(108), replay(108);
+  const path::PathGraph device = path::PathGraph::sampled(g, rng);
+  const Adc adc = Adc::sampled(c.adc, replay);
+  const LowPassFilter lpf = LowPassFilter::sampled(c.lpf, replay);
+  const Amplifier amp_if = Amplifier::sampled(if_amp, replay);
+  const LocalOscillator lo = LocalOscillator::sampled(c.lo, replay);
+  const Mixer mixer = Mixer::sampled(c.mixer, replay);
+  const Amplifier amp_rf = Amplifier::sampled(c.amp, replay);
+  EXPECT_EQ(device.adc_at(4).adc.actual_offset_error_v(), adc.actual_offset_error_v());
+  EXPECT_EQ(device.lpf_at(3).actual_cutoff_hz(), lpf.actual_cutoff_hz());
+  EXPECT_EQ(device.amp_at(2).actual_gain_db(), amp_if.actual_gain_db());
+  EXPECT_EQ(device.mixer_at(1).lo.actual_freq_error_ppm(), lo.actual_freq_error_ppm());
+  EXPECT_EQ(device.mixer_at(1).mixer.actual_iip3_dbm(), mixer.actual_iip3_dbm());
+  EXPECT_EQ(device.amp_at(0).actual_gain_db(), amp_rf.actual_gain_db());
+  expect_same_state(rng, replay);
+}
+
 }  // namespace
 }  // namespace msts::analog

@@ -202,7 +202,7 @@ TEST(PathAttrModel, AgreesWithTransientSimulation) {
   // path gain within its own worst-case band (nominal path here).
   const auto c = cfg();
   const PathAttrModel model(c);
-  const path::ReceiverPath path(c);
+  const path::PathGraph path(path::graph_from_config(c));
   stats::Rng rng(21);
   path::MeasureOptions opts;
   opts.digital_record = 2048;
@@ -219,7 +219,10 @@ TEST(PathAttrModel, PredictsFilterInputNoiseLevel) {
   // trades that into the mask margin).
   const auto c = cfg();
   const PathAttrModel model(c);
-  const path::ReceiverPath path(c);
+  // The canonical graph without its FIR: the digital output is the ADC.
+  path::PathGraphConfig adc_out = path::graph_from_config(c);
+  adc_out.blocks.pop_back();
+  const path::PathGraph path(adc_out);
   stats::Rng rng(22);
 
   const double amp_pi = 2e-3;
@@ -235,7 +238,7 @@ TEST(PathAttrModel, PredictsFilterInputNoiseLevel) {
   const dsp::Tone t{f_rf, amp_pi, 0.0};
   rf.samples = dsp::generate_tones(std::span(&t, 1), 0.0, c.analog_fs, 2048 * 8);
   const auto trace = path.run(rf, rng);
-  const auto volts = path.adc_output_volts(trace);
+  const auto volts = path.output_volts(trace);
   dsp::AnalysisOptions ao;
   ao.fundamentals = {400e3};
   const auto rep = dsp::analyze_spectrum(

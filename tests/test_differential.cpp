@@ -16,7 +16,7 @@
 #include "check/kernel_checks.h"
 #include "obs/config.h"
 #include "obs/registry.h"
-#include "path/receiver_path.h"
+#include "path/path_graph.h"
 #include "stats/rng.h"
 
 namespace msts {
@@ -232,7 +232,8 @@ TEST(Generators, RandomPathConfigAlwaysConstructible) {
   stats::Rng rng(0xC0FFEE);
   for (int i = 0; i < 50; ++i) {
     const path::PathConfig cfg = check::random_path_config(rng);
-    EXPECT_NO_THROW({ path::ReceiverPath p(cfg); }) << "draw " << i;
+    EXPECT_NO_THROW({ path::PathGraph p(path::graph_from_config(cfg)); })
+        << "draw " << i;
     EXPECT_GE(cfg.digital_fs(), 2.0e6);  // decimation <= 16 at 32 MHz
   }
 }
@@ -292,11 +293,11 @@ TEST(KernelChecks, WorkspaceRunBitIdenticalToAllocatingRun) {
   EXPECT_EQ(r.worst.max_ulp, 0.0);
 }
 
-TEST(KernelChecks, GraphWalkBitIdenticalToReceiverPath) {
-  // The canonical-instance equivalence contract: the generic PathGraph stage
-  // walker over the canonical receiver graph reproduces the legacy
-  // ReceiverPath::run body bit-for-bit (codes, FIR words, volts, response).
-  const check::Report r = check::check_path_graph_vs_receiver_path();
+TEST(KernelChecks, GraphWalkBitIdenticalToFig6Composition) {
+  // The canonical-instance equivalence contract: sampling and walking the
+  // canonical graph reproduces the Fig. 6 chain composed block by block
+  // bit-for-bit (codes, FIR words, volts, response).
+  const check::Report r = check::check_path_graph_vs_fig6_composition();
   EXPECT_TRUE(r.passed()) << r.reproducer;
   EXPECT_EQ(r.worst.max_abs, 0.0);
   EXPECT_EQ(r.worst.max_ulp, 0.0);

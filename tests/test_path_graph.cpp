@@ -1,9 +1,9 @@
 // Tests for the composable path-graph layer (path/path_graph.h): the
 // centralized construction-time validation rules, canonical graph
 // derivation, composition of non-canonical topologies, and the runtime
-// contracts (workspace identity, volts conversion, from_stages checks).
-// The bit-identity of the graph walk against ReceiverPath::run is covered
-// by the differential pair in src/check (test_differential.cpp).
+// contracts (workspace identity, volts conversion, rate checks). The
+// bit-identity of the graph walk against an explicit Fig. 6 composition is
+// covered by the differential pair in src/check (test_differential.cpp).
 #include "path/path_graph.h"
 
 #include <limits>
@@ -28,6 +28,42 @@ analog::Signal rf_tone(const PathGraphConfig& g, double freq, double amp,
                           digital_n * g.adc_decimation());
   return s;
 }
+
+// validate(config) must throw std::invalid_argument naming `field`.
+template <typename Config>
+void expect_rejected_naming(const Config& config, const std::string& field) {
+  try {
+    validate(config);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+
+// Every Uncertain field of the amplifier and mixer, with its field name.
+template <typename Params>
+struct UncertainField {
+  stats::Uncertain Params::*member;
+  const char* name;
+};
+const UncertainField<analog::AmpParams> kAmpFields[] = {
+    {&analog::AmpParams::gain_db, "amp.gain_db"},
+    {&analog::AmpParams::iip3_dbm, "amp.iip3_dbm"},
+    {&analog::AmpParams::iip2_dbm, "amp.iip2_dbm"},
+    {&analog::AmpParams::p1db_in_dbm, "amp.p1db_in_dbm"},
+    {&analog::AmpParams::nf_db, "amp.nf_db"},
+    {&analog::AmpParams::dc_offset_v, "amp.dc_offset_v"}};
+
+const UncertainField<analog::MixerParams> kMixerFields[] = {
+    {&analog::MixerParams::conv_gain_db, "mixer.conv_gain_db"},
+    {&analog::MixerParams::iip3_dbm, "mixer.iip3_dbm"},
+    {&analog::MixerParams::p1db_in_dbm, "mixer.p1db_in_dbm"},
+    {&analog::MixerParams::lo_isolation_db, "mixer.lo_isolation_db"},
+    {&analog::MixerParams::nf_db, "mixer.nf_db"}};
 
 // ---------------------------------------------------------------------------
 // Flat PathConfig validation (centralized construction-time rules)
@@ -66,6 +102,34 @@ TEST(PathConfigValidation, RejectsLoOutsideAnalogNyquist) {
   PathConfig ok = reference_path_config();
   ok.lo.freq_hz = 15.9e6;
   EXPECT_NO_THROW(validate(ok));
+}
+
+TEST(PathConfigValidation, RejectsNonPositiveOrNonFiniteLoAmplitude) {
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    PathConfig c = reference_path_config();
+    c.lo.amplitude = bad;
+    expect_rejected_naming(c, "lo.amplitude");
+    EXPECT_THROW(ReceiverPath{c}, std::invalid_argument) << bad;
+  }
+}
+
+// A non-finite nominal must fail at validation, by name, not layers down
+// (a NaN amp gain would otherwise surface in the attribute model's dB
+// conversion with a message that names no field).
+TEST(PathConfigValidation, RejectsNonFiniteAmpAndMixerNominals) {
+  for (const double bad : kNonFinite) {
+    for (const auto& f : kAmpFields) {
+      PathConfig c = reference_path_config();
+      (c.amp.*f.member).nominal = bad;
+      expect_rejected_naming(c, f.name);
+    }
+    for (const auto& f : kMixerFields) {
+      PathConfig c = reference_path_config();
+      (c.mixer.*f.member).nominal = bad;
+      expect_rejected_naming(c, f.name);
+    }
+  }
 }
 
 TEST(PathConfigValidation, RejectsZeroDecimation) {
@@ -188,6 +252,23 @@ TEST(PathGraphValidation, PerBlockRulesApplyInsideTheGraph) {
   g = canonical_graph();
   g.analog_fs = -1.0;
   EXPECT_THROW(validate(g), std::invalid_argument);
+
+  g = canonical_graph();
+  g.blocks[1].lo.amplitude = 0.0;
+  expect_rejected_naming(g, "lo.amplitude");
+
+  for (const double bad : kNonFinite) {
+    for (const auto& f : kAmpFields) {
+      g = canonical_graph();
+      (g.blocks[0].amp.*f.member).nominal = bad;
+      expect_rejected_naming(g, f.name);
+    }
+    for (const auto& f : kMixerFields) {
+      g = canonical_graph();
+      (g.blocks[1].mixer.*f.member).nominal = bad;
+      expect_rejected_naming(g, f.name);
+    }
+  }
 }
 
 TEST(PathGraphValidation, RejectsLoOutsideAnalogNyquist) {
@@ -281,6 +362,7 @@ TEST(PathGraph, WorkspaceRunIsBitIdenticalToAllocatingRun) {
       ASSERT_EQ(reused.analog_stages[s].samples, fresh.analog_stages[s].samples)
           << "round " << round << " stage " << s;
     }
+    EXPECT_DOUBLE_EQ(reused.digital_fs, fresh.digital_fs);
   }
 }
 
@@ -311,7 +393,23 @@ TEST(PathGraph, SampledIsDeterministicPerSeed) {
   EXPECT_NE(ta.filter_out, tc.filter_out);
 }
 
-TEST(PathGraph, RejectsWrongSampleRateAndMismatchedStages) {
+TEST(PathGraph, WorkspaceSurvivesRecordLengthChanges) {
+  // Shrinking then regrowing the record must not leave stale tail samples.
+  const PathGraphConfig cfg = canonical_graph();
+  const PathGraph g(cfg);
+  GraphWorkspace ws;
+  for (std::size_t digital_n : {std::size_t{1024}, std::size_t{256}, std::size_t{1024}}) {
+    const auto rf = rf_tone(cfg, 10.5e6, 1e-3, digital_n);
+    stats::Rng rng_a(7);
+    stats::Rng rng_b(7);
+    const auto fresh = g.run(rf, rng_a);
+    const auto& reused = g.run(rf, rng_b, ws);
+    ASSERT_EQ(reused.adc_codes, fresh.adc_codes) << "digital_n " << digital_n;
+    ASSERT_EQ(reused.filter_out, fresh.filter_out) << "digital_n " << digital_n;
+  }
+}
+
+TEST(PathGraph, RejectsWrongSampleRate) {
   const PathGraphConfig cfg = canonical_graph();
   const PathGraph g(cfg);
   stats::Rng rng(1);
@@ -319,31 +417,18 @@ TEST(PathGraph, RejectsWrongSampleRateAndMismatchedStages) {
   bad.fs = 1.0e6;
   bad.samples.assign(64, 0.0);
   EXPECT_THROW(g.run(bad, rng), std::invalid_argument);
-
-  // from_stages is kind-checked against the block list.
-  std::vector<PathGraph::Stage> too_few;
-  too_few.emplace_back(analog::Amplifier(cfg.blocks[0].amp));
-  EXPECT_THROW(PathGraph::from_stages(cfg, std::move(too_few)),
-               std::invalid_argument);
-
-  std::vector<PathGraph::Stage> wrong_kind;
-  wrong_kind.emplace_back(analog::LowPassFilter(cfg.blocks[2].lpf));  // not an amp
-  wrong_kind.emplace_back(PathGraph::MixerStage{
-      analog::Mixer(cfg.blocks[1].mixer), analog::LocalOscillator(cfg.blocks[1].lo)});
-  wrong_kind.emplace_back(analog::LowPassFilter(cfg.blocks[2].lpf));
-  wrong_kind.emplace_back(
-      PathGraph::AdcStage{analog::Adc(cfg.blocks[3].adc), cfg.blocks[3].adc_decimation});
-  wrong_kind.emplace_back(PathGraph::FirStage{{1, 2, 1}, 10, 12});
-  EXPECT_THROW(PathGraph::from_stages(cfg, std::move(wrong_kind)),
-               std::invalid_argument);
 }
 
 TEST(PathGraph, ReceiverPathExposesItsGraph) {
+  // ReceiverPath is the canonical graph itself; its named accessors are
+  // views of the graph's stages.
   const ReceiverPath p(reference_path_config());
-  EXPECT_EQ(p.graph().size(), 5u);
-  EXPECT_EQ(p.graph().kind_at(0), BlockKind::kAmp);
-  EXPECT_EQ(p.graph().kind_at(4), BlockKind::kFir);
-  EXPECT_EQ(p.fir_coeffs().size(), p.graph().fir_at(4).coeffs.size());
+  const PathGraph& g = p;
+  EXPECT_EQ(g.size(), 5u);
+  EXPECT_EQ(g.kind_at(0), BlockKind::kAmp);
+  EXPECT_EQ(g.kind_at(4), BlockKind::kFir);
+  EXPECT_EQ(&p.lpf(), &g.lpf_at(2));
+  EXPECT_EQ(&p.fir_coeffs(), &g.fir_at(4).coeffs);
 }
 
 }  // namespace

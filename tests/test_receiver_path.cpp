@@ -1,8 +1,11 @@
-// Integration tests for the assembled receive path (path/receiver_path.h)
-// and the system-level measurement procedures (path/measurements.h).
+// Tests for the Fig. 6 front door (path/receiver_path.h) and the system-level
+// measurement procedures (path/measurements.h). The run/workspace/volts
+// contracts live in test_path_graph.cpp, on PathGraph itself.
 #include "path/receiver_path.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +13,6 @@
 #include "digital/fir.h"
 #include "dsp/tonegen.h"
 #include "path/measurements.h"
-#include "path/workspace.h"
 
 namespace msts::path {
 namespace {
@@ -36,9 +38,11 @@ TEST(ReceiverPath, TraceHasConsistentDimensions) {
   const ReceiverPath path(c);
   stats::Rng rng(1);
   const auto trace = path.run(rf_tone(c, 500e3, 1e-3, 1024), rng);
-  EXPECT_EQ(trace.after_amp.size(), 1024u * c.adc_decimation);
+  ASSERT_EQ(trace.analog_stages.size(), 3u);  // amp, mixer, lpf outputs
+  EXPECT_EQ(trace.analog_stages[0].size(), 1024u * c.adc_decimation);
   EXPECT_EQ(trace.adc_codes.size(), 1024u);
   EXPECT_EQ(trace.filter_out.size(), 1024u);
+  EXPECT_EQ(path.filter_output_volts(trace).size(), 1024u);
   EXPECT_DOUBLE_EQ(trace.digital_fs, 4.0e6);
   EXPECT_EQ(path.fir_coeffs().size(), c.fir_taps);
 }
@@ -51,55 +55,6 @@ TEST(ReceiverPath, RejectsWrongSampleRate) {
   bad.fs = 1.0e6;
   bad.samples.assign(256, 0.0);
   EXPECT_THROW(path.run(bad, rng), std::invalid_argument);
-}
-
-TEST(ReceiverPath, WorkspaceRunIsBitIdenticalToAllocatingRun) {
-  const PathConfig c = reference_path_config();
-  const ReceiverPath path(c);
-  const auto rf = rf_tone(c, 500e3, 1e-3, 1024);
-
-  stats::Rng rng_a(42);
-  const auto fresh = path.run(rf, rng_a);
-
-  // Same RNG seed through the workspace overload, reused across three runs;
-  // a stale byte anywhere in the recycled buffers would break the identity.
-  PathWorkspace ws;
-  for (int round = 0; round < 3; ++round) {
-    stats::Rng rng_b(42);
-    const auto& reused = path.run(rf, rng_b, ws);
-    ASSERT_EQ(reused.adc_codes, fresh.adc_codes) << "round " << round;
-    ASSERT_EQ(reused.filter_out, fresh.filter_out) << "round " << round;
-    ASSERT_EQ(reused.after_amp.samples, fresh.after_amp.samples) << "round " << round;
-    ASSERT_EQ(reused.after_mixer.samples, fresh.after_mixer.samples) << "round " << round;
-    ASSERT_EQ(reused.after_lpf.samples, fresh.after_lpf.samples) << "round " << round;
-    EXPECT_DOUBLE_EQ(reused.digital_fs, fresh.digital_fs);
-  }
-}
-
-TEST(ReceiverPath, WorkspaceSurvivesRecordLengthChanges) {
-  // Shrinking then regrowing the record must not leave stale tail samples.
-  const PathConfig c = reference_path_config();
-  const ReceiverPath path(c);
-  PathWorkspace ws;
-  for (std::size_t digital_n : {std::size_t{1024}, std::size_t{256}, std::size_t{1024}}) {
-    const auto rf = rf_tone(c, 500e3, 1e-3, digital_n);
-    stats::Rng rng_a(7);
-    stats::Rng rng_b(7);
-    const auto fresh = path.run(rf, rng_a);
-    const auto& reused = path.run(rf, rng_b, ws);
-    ASSERT_EQ(reused.filter_out, fresh.filter_out) << "digital_n " << digital_n;
-  }
-}
-
-TEST(ReceiverPath, FilterOutputVoltsIntoMatchesValueForm) {
-  const PathConfig c = reference_path_config();
-  const ReceiverPath path(c);
-  stats::Rng rng(3);
-  const auto trace = path.run(rf_tone(c, 400e3, 1e-3, 512), rng);
-  const auto by_value = path.filter_output_volts(trace);
-  std::vector<double> into(3, -99.0);  // wrong size and content on purpose
-  path.filter_output_volts_into(trace, into);
-  ASSERT_EQ(into, by_value);
 }
 
 TEST(ReceiverPath, FirBlockMatchesStepwiseModel) {
@@ -300,6 +255,27 @@ TEST(Measurements, GroupDelayRefusesToAliasWhenDelayExceedsRange) {
   EXPECT_THROW(
       measure_group_delay_s(path, f_if, vpeak_from_dbm(-35.0), rng, opts),
       std::invalid_argument);
+}
+
+TEST(Measurements, RejectsGraphWithoutMixerNamingTheBlock) {
+  // Stimuli sit at the nominal LO + IF; a graph with no mixer has no LO to
+  // place them by, and the rejection must say which block is missing.
+  const PathConfig c = reference_path_config();
+  PathGraphConfig g = graph_from_config(c);
+  g.blocks.erase(g.blocks.begin() + 1);  // amp -> lpf -> adc -> fir
+  const PathGraph path(g);
+  stats::Rng rng(23);
+  const MeasureOptions opts = fast_opts();
+  const double f = coherent_if_freq(g, opts, 400e3);
+  try {
+    measure_path_gain_db(path, f, vpeak_from_dbm(-35.0), rng, opts);
+    ADD_FAILURE() << "measured a graph without a mixer";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no mixer block"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(measure_lo_freq_error_ppm(path, f, vpeak_from_dbm(-35.0), rng, opts),
+               std::invalid_argument);
 }
 
 TEST(Measurements, ClockSpurVisibleInOutputSpectrum) {

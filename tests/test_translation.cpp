@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "base/units.h"
+#include "path/receiver_path.h"
 
 namespace msts::core {
 namespace {
