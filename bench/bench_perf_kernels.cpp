@@ -1,7 +1,7 @@
 // Performance microbenchmarks of the toolkit's kernels (google-benchmark):
-// FFT, spectral analysis, gate-level fault simulation, path transient
-// simulation and attribute propagation. These bound how long a full test
-// synthesis + evaluation run takes.
+// FFT, spectral analysis, gate-level fault simulation, Gaussian noise
+// draws, path sampling and transient simulation, and attribute propagation.
+// These bound how long a full test synthesis + evaluation run takes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -134,6 +134,45 @@ static void BM_PathTransient(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8192);
 }
 BENCHMARK(BM_PathTransient);
+
+static void BM_RngNormal(benchmark::State& state) {
+  // The per-sample formulation: one normal() call per deviate.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> out(n);
+  stats::Rng rng(11);
+  for (auto _ : state) {
+    for (double& z : out) z = rng.normal();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RngNormal)->Arg(8192);
+
+static void BM_RngFillNormal(benchmark::State& state) {
+  // The same deviates drawn as one block (what every noise stage does).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> out(n);
+  stats::Rng rng(11);
+  for (auto _ : state) {
+    rng.fill_normal(out.data(), n);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_RngFillNormal)->Arg(8192);
+
+static void BM_PathSampled(benchmark::State& state) {
+  // Manufacturing one Monte-Carlo device of the reference graph: every
+  // block's parameter draws plus the ADC's per-instance INL table.
+  const path::PathGraphConfig graph =
+      path::graph_from_config(path::reference_path_config());
+  stats::Rng rng(5);
+  for (auto _ : state) {
+    const auto g = path::PathGraph::sampled(graph, rng);
+    benchmark::DoNotOptimize(&g);
+  }
+}
+BENCHMARK(BM_PathSampled);
 
 static void BM_PathGainMeasure(benchmark::State& state) {
   // One full translated-test evaluation: stimulus synthesis, transient run

@@ -2,12 +2,41 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
+#include "analog/noise.h"
 #include "base/require.h"
 #include "base/units.h"
 #include "stats/monte_carlo.h"
 
 namespace msts::analog {
+
+namespace {
+
+constexpr int kMinBits = 4;
+constexpr int kMaxBits = 20;
+
+// The smooth INL bow sin(pi * u_c) at every code c of one resolution, u_c
+// being the code's normalised position in [-1, 1]. It is the same for every
+// converter, so each resolution's table is built once, on first use, and
+// shared by all instances and threads.
+const std::vector<double>& inl_bow(int bits) {
+  static std::once_flag built[kMaxBits + 1];
+  static std::vector<double> bows[kMaxBits + 1];
+  std::call_once(built[bits], [bits] {
+    const std::size_t codes = std::size_t{1} << bits;
+    std::vector<double>& bow = bows[bits];
+    bow.resize(codes);
+    for (std::size_t c = 0; c < codes; ++c) {
+      const double u =
+          2.0 * static_cast<double>(c) / static_cast<double>(codes - 1) - 1.0;
+      bow[c] = std::sin(kPi * u);
+    }
+  });
+  return bows[bits];
+}
+
+}  // namespace
 
 Adc::Adc(int bits, double vref, double offset_error_v, double gain_error,
          double inl_peak_lsb, double dnl_sigma_lsb, std::uint64_t pattern_seed)
@@ -16,21 +45,22 @@ Adc::Adc(int bits, double vref, double offset_error_v, double gain_error,
       offset_error_v_(offset_error_v),
       gain_error_(gain_error),
       inl_peak_lsb_(inl_peak_lsb) {
-  MSTS_REQUIRE(bits >= 4 && bits <= 20, "ADC resolution must be 4..20 bits");
+  MSTS_REQUIRE(bits >= kMinBits && bits <= kMaxBits,
+               "ADC resolution must be 4..20 bits");
   MSTS_REQUIRE(vref > 0.0, "reference voltage must be positive");
 
-  // Fixed per-instance INL signature: a smooth S-shaped bow of amplitude
-  // inl_peak_lsb plus a zero-mean DNL random walk.
+  // Fixed per-instance INL signature: the shared bow scaled to inl_peak_lsb
+  // plus a zero-mean DNL random walk.
   const std::size_t codes = std::size_t{1} << bits;
+  const std::vector<double>& bow = inl_bow(bits);
+  const double walk_scale = std::sqrt(static_cast<double>(codes));
   inl_table_.resize(codes);
   stats::Rng pattern_rng(pattern_seed);
   double walk = 0.0;
-  for (std::size_t c = 0; c < codes; ++c) {
-    const double u = 2.0 * static_cast<double>(c) / static_cast<double>(codes - 1) - 1.0;
-    walk += dnl_sigma_lsb * pattern_rng.normal() /
-            std::sqrt(static_cast<double>(codes));
-    inl_table_[c] = inl_peak_lsb * std::sin(kPi * u) + walk;
-  }
+  for_each_normal(pattern_rng, codes, [&](std::size_t c, double z) {
+    walk += dnl_sigma_lsb * z / walk_scale;
+    inl_table_[c] = inl_peak_lsb * bow[c] + walk;
+  });
   // Re-centre the walk so offset/gain error stay the explicit parameters.
   double mean = 0.0;
   for (double v : inl_table_) mean += v;

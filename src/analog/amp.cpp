@@ -63,10 +63,10 @@ void Amplifier::process_into(const Signal& in, stats::Rng& noise_rng,
   out.samples.resize(in.size());
   const double* src = in.samples.data();
   double* dst = out.samples.data();
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const double xn = src[i] + noise_sigma * noise_rng.normal();
+  for_each_normal(noise_rng, in.size(), [&](std::size_t i, double z) {
+    const double xn = src[i] + noise_sigma * z;
     dst[i] = apply_nonlinearity(xn, a1, c2, c3, vsat) + dc_offset_v_;
-  }
+  });
 }
 
 Signal Amplifier::process(const Signal& in, stats::Rng& noise_rng) const {

@@ -43,6 +43,7 @@ class Amplifier {
 
   double actual_gain_db() const { return gain_db_; }
   double actual_iip3_dbm() const { return iip3_dbm_; }
+  double actual_iip2_dbm() const { return iip2_dbm_; }
   double actual_p1db_in_dbm() const { return p1db_in_dbm_; }
   double actual_nf_db() const { return nf_db_; }
   double actual_dc_offset_v() const { return dc_offset_v_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "analog/noise.h"
 #include "base/require.h"
 #include "base/units.h"
 #include "dsp/oscillator.h"
@@ -55,9 +56,9 @@ void LocalOscillator::generate_into(double fs, std::size_t n, stats::Rng& noise_
   // (dsp::kResyncPeriod) folds the accumulated walk back into exact trig.
   dsp::PhasorOscillator osc(w, 0.0);
   double* dst = out.samples.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = amplitude_ * osc.jitter_cos_next(phase_noise_rad_ * noise_rng.normal());
-  }
+  for_each_normal(noise_rng, n, [&](std::size_t i, double z) {
+    dst[i] = amplitude_ * osc.jitter_cos_next(phase_noise_rad_ * z);
+  });
 }
 
 Signal LocalOscillator::generate(double fs, std::size_t n, stats::Rng& noise_rng) const {

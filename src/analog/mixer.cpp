@@ -55,12 +55,12 @@ void Mixer::process_into(const Signal& rf, const Signal& lo, stats::Rng& noise_r
   const double* rfp = rf.samples.data();
   const double* lop = lo.samples.data();
   double* dst = out.samples.data();
-  for (std::size_t i = 0; i < rf.size(); ++i) {
-    const double x = rfp[i] + noise_sigma * noise_rng.normal();
+  for_each_normal(noise_rng, rf.size(), [&](std::size_t i, double z) {
+    const double x = rfp[i] + noise_sigma * z;
     // RF-port nonlinearity, then multiplication, then LO feedthrough.
     const double distorted = apply_nonlinearity(x, a1, 0.0, c3, vsat);
     dst[i] = distorted * lop[i] + leak * lop[i];
-  }
+  });
 }
 
 Signal Mixer::process(const Signal& rf, const Signal& lo, stats::Rng& noise_rng) const {

@@ -7,6 +7,11 @@
 // noise density would be.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+
+#include "stats/rng.h"
+
 namespace msts::analog {
 
 /// Boltzmann constant (J/K).
@@ -21,5 +26,18 @@ double noise_vrms_from_nf(double nf_db, double fs);
 
 /// Thermal noise floor of the source itself over [0, fs/2] (volts RMS).
 double source_noise_vrms(double fs);
+
+/// Calls body(i, z) for i = 0..n-1 with z the i-th standard normal deviate
+/// of `rng`: the same deviates, in the same order, as n serial normal()
+/// calls, drawn in stack blocks through Rng::fill_normal.
+template <typename Body>
+void for_each_normal(stats::Rng& rng, std::size_t n, Body&& body) {
+  double z[stats::Rng::kNormalBlock] = {};
+  for (std::size_t base = 0; base < n; base += stats::Rng::kNormalBlock) {
+    const std::size_t len = std::min(stats::Rng::kNormalBlock, n - base);
+    rng.fill_normal(z, len);
+    for (std::size_t j = 0; j < len; ++j) body(base + j, z[j]);
+  }
+}
 
 }  // namespace msts::analog

@@ -7,7 +7,12 @@
 #include <memory>
 #include <vector>
 
+#include "analog/adc.h"
+#include "analog/amp.h"
+#include "analog/lo.h"
 #include "analog/lpf.h"
+#include "analog/mixer.h"
+#include "analog/noise.h"
 #include "base/simd.h"
 #include "base/units.h"
 #include "check/generators.h"
@@ -22,6 +27,7 @@
 #include "dsp/tonegen.h"
 #include "dsp/window.h"
 #include "path/path_graph.h"
+#include "stats/monte_carlo.h"
 #include "stats/yield.h"
 
 namespace msts::check {
@@ -786,6 +792,177 @@ Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts) {
       Tolerance::bit_identical(), opts);
 }
 
+// ---------------------------------------------------------------------------
+// Block Gaussian noise vs per-sample draws. The fast side draws through
+// Rng::fill_normal and the block noise stages (amplifier, LO phase walk,
+// mixer, the ADC's DNL walk over the shared INL bow); the golden side is the
+// per-sample formulation: one normal() per deviate, the stage arithmetic
+// spelled out, and a per-code std::sin for the bow.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct NoiseCase {
+  std::size_t fill_n = 0;  ///< Deviates for the bare fill_normal call.
+  bool precached = false;  ///< Enter fill_normal with a cached partner.
+  double fs = 32.0e6;
+  std::vector<double> rf;  ///< Amplifier / mixer input block.
+  analog::AmpParams amp;
+  analog::MixerParams mixer;
+  analog::LoParams lo;
+  analog::AdcParams adc;
+};
+
+NoiseCase random_noise_case(stats::Rng& rng) {
+  constexpr std::size_t kBlock = stats::Rng::kNormalBlock;
+  NoiseCase c;
+  const std::size_t edges[] = {0,          1,          2 * rng.uniform_int(200) + 1,
+                               kBlock - 1, kBlock,     kBlock + 1,
+                               rng.uniform_int(4 * kBlock)};
+  c.fill_n = edges[rng.uniform_int(std::size(edges))];
+  c.precached = rng.uniform() < 0.5;
+  c.rf.resize(rng.uniform_int(3 * kBlock + 2));
+  for (double& x : c.rf) x = rng.uniform(-0.01, 0.01);
+  c.amp.gain_db = stats::Uncertain::from_tolerance(rng.uniform(5.0, 20.0), 1.0);
+  c.amp.nf_db = stats::Uncertain::from_tolerance(rng.uniform(1.0, 12.0), 0.5);
+  c.amp.iip2_dbm = stats::Uncertain::from_tolerance(rng.uniform(20.0, 50.0), 3.0);
+  c.mixer.nf_db = stats::Uncertain::from_tolerance(rng.uniform(4.0, 15.0), 1.0);
+  c.mixer.lo_isolation_db = stats::Uncertain::from_tolerance(rng.uniform(20.0, 60.0), 4.0);
+  c.lo.freq_hz = rng.uniform(1.0e6, 15.0e6);
+  // Strictly positive: a jitter-free LO draws no noise on either side.
+  const double walk = rng.uniform(1e-4, 5e-3);
+  c.lo.phase_noise_rad = stats::Uncertain::from_tolerance(walk, 0.5 * walk);
+  c.adc.bits = 4 + static_cast<int>(rng.uniform_int(11));  // 4..14
+  c.adc.inl_peak_lsb = stats::Uncertain::from_tolerance(rng.uniform(-1.0, 1.0), 0.3);
+  c.adc.dnl_sigma_lsb = stats::Uncertain::from_tolerance(rng.uniform(0.05, 0.5), 0.05);
+  return c;
+}
+
+// Position inside code c's cell, so inl_at(position) reads code c.
+double code_position(std::size_t c, std::size_t codes) {
+  return -1.0 + static_cast<double>(2 * c + 1) / static_cast<double>(codes - 1);
+}
+
+}  // namespace
+
+Report check_noise_blocks_vs_per_sample_draws(const RunOptions& opts) {
+  using Case = NoiseCase;
+  return differential<Case>(
+      "noise_blocks_vs_per_sample_draws",
+      [](stats::Rng& rng) { return random_noise_case(rng); },
+      [](const Case& c, stats::Rng& rng) {
+        std::vector<double> out;
+        if (c.precached) rng.normal();  // leaves the partner deviate cached
+        out.resize(c.fill_n);
+        rng.fill_normal(out.data(), c.fill_n);
+        out.push_back(rng.normal());
+        push_sample(out, static_cast<std::int64_t>(rng.next_u64()));
+
+        const analog::Signal in{c.fs, c.rf};
+        analog::Signal amp_out, lo_wave, mixer_out;
+        analog::Amplifier::sampled(c.amp, rng).process_into(in, rng, amp_out);
+        analog::LocalOscillator::sampled(c.lo, rng)
+            .generate_into(c.fs, c.rf.size(), rng, lo_wave);
+        analog::Mixer::sampled(c.mixer, rng).process_into(in, lo_wave, rng, mixer_out);
+        for (const analog::Signal* s : {&amp_out, &lo_wave, &mixer_out}) {
+          out.insert(out.end(), s->samples.begin(), s->samples.end());
+        }
+
+        const analog::Adc adc = analog::Adc::sampled(c.adc, rng);
+        const std::size_t codes = std::size_t{1} << adc.bits();
+        for (std::size_t k = 0; k < codes; ++k) {
+          out.push_back(adc.inl_at(code_position(k, codes)));
+        }
+        return out;
+      },
+      [](const Case& c, stats::Rng& rng) {
+        std::vector<double> out;
+        if (c.precached) rng.normal();
+        for (std::size_t i = 0; i < c.fill_n; ++i) out.push_back(rng.normal());
+        out.push_back(rng.normal());
+        push_sample(out, static_cast<std::int64_t>(rng.next_u64()));
+
+        const std::size_t n = c.rf.size();
+        const analog::Amplifier amp = analog::Amplifier::sampled(c.amp, rng);
+        {
+          const double a1 = amplitude_ratio_from_db(amp.actual_gain_db());
+          const double c3 = analog::c3_from_iip3(vpeak_from_dbm(amp.actual_iip3_dbm()));
+          const double c2 = analog::c2_from_iip2(vpeak_from_dbm(amp.actual_iip2_dbm()));
+          const double vsat =
+              analog::vsat_from_p1db(vpeak_from_dbm(amp.actual_p1db_in_dbm()), a1);
+          const double sigma = analog::noise_vrms_from_nf(amp.actual_nf_db(), c.fs);
+          for (std::size_t i = 0; i < n; ++i) {
+            const double xn = c.rf[i] + sigma * rng.normal();
+            out.push_back(analog::apply_nonlinearity(xn, a1, c2, c3, vsat) +
+                          amp.actual_dc_offset_v());
+          }
+        }
+
+        const analog::LocalOscillator lo = analog::LocalOscillator::sampled(c.lo, rng);
+        std::vector<double> lo_wave;
+        {
+          dsp::PhasorOscillator osc(kTwoPi * lo.actual_freq_hz() / c.fs, 0.0);
+          for (std::size_t i = 0; i < n; ++i) {
+            lo_wave.push_back(lo.amplitude() *
+                              osc.jitter_cos_next(lo.actual_phase_noise_rad() *
+                                                  rng.normal()));
+          }
+          out.insert(out.end(), lo_wave.begin(), lo_wave.end());
+        }
+
+        const analog::Mixer mixer = analog::Mixer::sampled(c.mixer, rng);
+        {
+          const double g = amplitude_ratio_from_db(mixer.actual_conv_gain_db());
+          const double a1 = 2.0 * g;
+          const double c3 =
+              analog::c3_from_iip3(vpeak_from_dbm(mixer.actual_iip3_dbm()));
+          const double vsat =
+              2.0 * analog::vsat_from_p1db(vpeak_from_dbm(mixer.actual_p1db_in_dbm()), g);
+          const double leak = amplitude_ratio_from_db(-mixer.actual_lo_isolation_db());
+          const double sigma = analog::noise_vrms_from_nf(mixer.actual_nf_db(), c.fs);
+          for (std::size_t i = 0; i < n; ++i) {
+            const double x = c.rf[i] + sigma * rng.normal();
+            const double distorted = analog::apply_nonlinearity(x, a1, 0.0, c3, vsat);
+            out.push_back(distorted * lo_wave[i] + leak * lo_wave[i]);
+          }
+        }
+
+        // Adc::sampled's documented draw order: pattern seed, DNL sigma, INL
+        // peak (gain and offset error follow; the INL table needs neither).
+        const std::uint64_t pattern_seed = rng.next_u64();
+        const double dnl_sigma = std::abs(stats::sample(c.adc.dnl_sigma_lsb, rng));
+        const double inl_peak = stats::sample(c.adc.inl_peak_lsb, rng);
+        const std::size_t codes = std::size_t{1} << c.adc.bits;
+        std::vector<double> table(codes);
+        stats::Rng pattern_rng(pattern_seed);
+        double walk = 0.0;
+        for (std::size_t k = 0; k < codes; ++k) {
+          const double u =
+              2.0 * static_cast<double>(k) / static_cast<double>(codes - 1) - 1.0;
+          walk += dnl_sigma * pattern_rng.normal() / std::sqrt(static_cast<double>(codes));
+          table[k] = inl_peak * std::sin(kPi * u) + walk;
+        }
+        double mean = 0.0;
+        for (const double v : table) mean += v;
+        mean /= static_cast<double>(codes);
+        for (const double v : table) out.push_back(v - mean);
+        return out;
+      },
+      [](const Case& c, obs::json::Writer& w) {
+        w.kv("fill_n", static_cast<std::uint64_t>(c.fill_n));
+        w.kv("precached", c.precached);
+        w.kv("block_n", static_cast<std::uint64_t>(c.rf.size()));
+        w.kv("amp_nf_db", c.amp.nf_db.nominal);
+        w.kv("mixer_nf_db", c.mixer.nf_db.nominal);
+        w.kv("lo_freq_hz", c.lo.freq_hz);
+        w.kv("lo_phase_noise_rad", c.lo.phase_noise_rad.nominal);
+        w.kv("adc_bits", c.adc.bits);
+      },
+      // Same deviates, same arithmetic: any difference is a draw-order or
+      // transform bug.
+      Tolerance::bit_identical(), opts);
+}
+
 std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
   return {
       check_fft_plan_vs_naive_dft(opts),
@@ -801,6 +978,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_simd_add_cosine_vs_scalar(opts),
       check_simd_fault_sim_wide_vs_64(opts),
       check_fault_sim_capture_vs_bus_value(opts),
+      check_noise_blocks_vs_per_sample_draws(opts),
   };
 }
 

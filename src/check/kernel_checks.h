@@ -20,8 +20,11 @@
 //     guard-banded thresholds       |
 //   simulate_faults' bit-plane      | one ParallelSimulator::bus_value per
 //     stream capture (active width) |   machine per cycle, same batches
+//   Rng::fill_normal and the block  | one normal() per deviate, the stage
+//     noise stages (amp, LO, mixer, |   arithmetic spelled out per sample,
+//     ADC DNL walk + shared bow)    |   per-code std::sin for the INL bow
 //
-// The last pair is the regression net for the guard-band yield-integration
+// The analytic guard-band pair is the regression net for the yield-integration
 // fix: with the threshold cuts missing from the integration grid, the
 // analytic side diverges from Monte Carlo by far more than sampling error at
 // sharp-error guard-banded thresholds.
@@ -41,6 +44,7 @@ Report check_path_graph_vs_fig6_composition(const RunOptions& opts = {});
 Report check_parallel_mc_vs_serial(const RunOptions& opts = {});
 Report check_guard_band_analytic_vs_mc(const RunOptions& opts = {});
 Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts = {});
+Report check_noise_blocks_vs_per_sample_draws(const RunOptions& opts = {});
 
 // SIMD backend vs forced-scalar pairs (base/simd.h). The reference side runs
 // the SAME public API under simd::ScopedIsa(kScalar) — the scalar backend is

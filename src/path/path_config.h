@@ -49,12 +49,16 @@ PathConfig reference_path_config();
 /// (PathAttrModel, graph_from_config and everything built on it). Throws
 /// via MSTS_REQUIRE on the first violated rule, naming the field:
 ///   * analog_fs must be a positive, finite rate;
-///   * every amp and mixer Uncertain field has a finite nominal;
+///   * every amp, mixer, LO, LPF and ADC Uncertain field has a finite
+///     nominal;
 ///   * lo.freq_hz finite and in (0, analog_fs / 2);
 ///   * lo.amplitude finite and > 0;
 ///   * adc_decimation >= 1;
-///   * adc bits inside the digital filter's input-width budget [2, 24];
-///   * lpf order a positive even biquad-cascade order;
+///   * adc.bits in [4, 20] (the ADC model's range);
+///   * adc.vref finite and > 0;
+///   * lpf.order even and in [2, 16] (at most 8 biquads);
+///   * lpf.cutoff_hz finite and in (0, analog_fs / 2);
+///   * lpf.clock_hz finite and > 0;
 ///   * fir_taps odd and >= 3 (type-I linear-phase design);
 ///   * fir_cutoff_norm in (0, 0.5);
 ///   * fir_coeff_frac_bits in [1, 30] (the int32 coefficient budget).

@@ -90,17 +90,23 @@ namespace {
 // Per-block parameter rules shared by validate(PathConfig) and
 // validate(PathGraphConfig). Kept here so the two descriptions can never
 // drift apart.
-void validate_adc_block(const analog::AdcParams& adc, std::size_t decimation) {
-  MSTS_REQUIRE(decimation >= 1, "decimation must be >= 1");
-  MSTS_REQUIRE(adc.bits >= 2 && adc.bits <= 24,
-               "adc bits must be in [2, 24] (digital filter input-width budget)");
-  MSTS_REQUIRE(adc.vref > 0.0, "adc vref must be > 0");
-}
-
 // A non-finite nominal would otherwise surface layers down (the attribute
 // model's dB conversions), under a message that names no field.
 void require_finite_nominal(const stats::Uncertain& u, const char* field) {
   MSTS_REQUIRE(std::isfinite(u.nominal), std::string(field) + " must be finite");
+}
+
+// The ADC model covers 4..20 bits; 20 also keeps the digital filter's input
+// width inside its accumulator budget.
+void validate_adc_block(const analog::AdcParams& adc, std::size_t decimation) {
+  MSTS_REQUIRE(decimation >= 1, "adc_decimation must be >= 1");
+  MSTS_REQUIRE(adc.bits >= 4 && adc.bits <= 20, "adc.bits must be in [4, 20]");
+  MSTS_REQUIRE(std::isfinite(adc.vref) && adc.vref > 0.0,
+               "adc.vref must be finite and > 0");
+  require_finite_nominal(adc.offset_error_v, "adc.offset_error_v");
+  require_finite_nominal(adc.gain_error, "adc.gain_error");
+  require_finite_nominal(adc.inl_peak_lsb, "adc.inl_peak_lsb");
+  require_finite_nominal(adc.dnl_sigma_lsb, "adc.dnl_sigma_lsb");
 }
 
 void validate_amp_block(const analog::AmpParams& amp) {
@@ -120,6 +126,8 @@ void validate_lo_block(const analog::LoParams& lo, double analog_fs) {
                "lo.freq_hz must be finite and in (0, analog_fs / 2)");
   MSTS_REQUIRE(std::isfinite(lo.amplitude) && lo.amplitude > 0.0,
                "lo.amplitude must be finite and > 0");
+  require_finite_nominal(lo.freq_error_ppm, "lo.freq_error_ppm");
+  require_finite_nominal(lo.phase_noise_rad, "lo.phase_noise_rad");
 }
 
 void validate_mixer_block(const analog::MixerParams& mixer,
@@ -132,10 +140,17 @@ void validate_mixer_block(const analog::MixerParams& mixer,
   validate_lo_block(lo, analog_fs);
 }
 
-void validate_lpf_block(const analog::LpfParams& lpf) {
-  MSTS_REQUIRE(lpf.order >= 2 && lpf.order % 2 == 0,
-               "lpf order must be a positive even biquad-cascade order");
-  MSTS_REQUIRE(lpf.cutoff_hz.nominal > 0.0, "lpf cutoff must be > 0");
+// The filter runs at the analog rate as a cascade of at most eight biquads.
+void validate_lpf_block(const analog::LpfParams& lpf, double analog_fs) {
+  MSTS_REQUIRE(lpf.order >= 2 && lpf.order <= 16 && lpf.order % 2 == 0,
+               "lpf.order must be even and in [2, 16] (at most 8 biquads)");
+  MSTS_REQUIRE(std::isfinite(lpf.cutoff_hz.nominal) && lpf.cutoff_hz.nominal > 0.0 &&
+                   lpf.cutoff_hz.nominal < analog_fs / 2.0,
+               "lpf.cutoff_hz must be finite and in (0, analog_fs / 2)");
+  require_finite_nominal(lpf.passband_gain_db, "lpf.passband_gain_db");
+  MSTS_REQUIRE(std::isfinite(lpf.clock_hz) && lpf.clock_hz > 0.0,
+               "lpf.clock_hz must be finite and > 0");
+  require_finite_nominal(lpf.clock_spur_v, "lpf.clock_spur_v");
 }
 
 void validate_fir_block(std::size_t taps, double cutoff_norm, int frac_bits) {
@@ -161,7 +176,7 @@ void validate(const PathConfig& config) {
   validate_amp_block(config.amp);
   validate_mixer_block(config.mixer, config.lo, config.analog_fs);
   validate_adc_block(config.adc, config.adc_decimation);
-  validate_lpf_block(config.lpf);
+  validate_lpf_block(config.lpf, config.analog_fs);
   validate_fir_block(config.fir_taps, config.fir_cutoff_norm,
                      config.fir_coeff_frac_bits);
 }
@@ -188,7 +203,7 @@ void validate(const PathGraphConfig& graph) {
         break;
       case BlockKind::kLpf:
         MSTS_REQUIRE(i < adc, "analog blocks must precede the ADC");
-        validate_lpf_block(b.lpf);
+        validate_lpf_block(b.lpf, graph.analog_fs);
         break;
       case BlockKind::kAdc:
         validate_adc_block(b.adc, b.adc_decimation);

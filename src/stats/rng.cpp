@@ -1,5 +1,7 @@
 #include "stats/rng.h"
 
+#include <algorithm>
+
 namespace msts::stats {
 
 namespace {
@@ -25,6 +27,42 @@ std::uint64_t Rng::uniform_int(std::uint64_t bound) {
   for (;;) {
     const std::uint64_t r = next_u64();
     if (r >= threshold) return r % bound;
+  }
+}
+
+void Rng::fill_normal(double* out, std::size_t n) {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    out[i++] = cached_normal_;
+  }
+  constexpr std::size_t kPairs = kNormalBlock / 2;
+  // One spare slot: a rejected candidate is written past the accepted ones
+  // and overwritten by the next draw.
+  double us[kPairs + 1] = {}, vs[kPairs + 1] = {}, ss[kPairs + 1] = {};
+  while (i < n) {
+    const std::size_t pairs = std::min(kPairs, (n - i + 1) / 2);
+    std::size_t got = 0;
+    while (got < pairs) {
+      const double u = 2.0 * uniform() - 1.0;
+      const double v = 2.0 * uniform() - 1.0;
+      const double s = u * u + v * v;
+      us[got] = u;
+      vs[got] = v;
+      ss[got] = s;
+      got += static_cast<std::size_t>(s < 1.0) & static_cast<std::size_t>(s != 0.0);
+    }
+    // Same expression as normal(), so every deviate rounds the same way.
+    for (std::size_t k = 0; k < pairs; ++k) {
+      const double m = std::sqrt(-2.0 * std::log(ss[k]) / ss[k]);
+      out[i++] = us[k] * m;
+      if (i < n) {
+        out[i++] = vs[k] * m;
+      } else {
+        cached_normal_ = vs[k] * m;
+        has_cached_normal_ = true;
+      }
+    }
   }
 }
 

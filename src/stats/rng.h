@@ -6,12 +6,15 @@
 // implement xoshiro256++ plus our own uniform/normal converters rather than
 // relying on <random> distributions, whose output is implementation-defined.
 //
-// The raw generator and the uniform/normal converters are defined inline:
-// noise injection calls normal() once per transient sample, so the call cost
-// is part of the simulator's per-sample budget.
+// The raw generator and the scalar uniform/normal converters are defined
+// inline for parameter sampling and other one-off draws. Transient noise is
+// drawn in blocks through fill_normal(), which yields exactly the deviates
+// the same number of normal() calls would, but splits the polar rejection
+// walk from the log/sqrt transform so neither stalls the other.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace msts::stats {
@@ -47,8 +50,8 @@ class Rng {
   /// Standard normal deviate (Marsaglia polar method; caches the second
   /// deviate of each pair). Polar rejection costs ~1.27 uniform pairs per
   /// deviate pair but needs only one log/sqrt and no trig, roughly halving
-  /// the per-deviate cost of Box-Muller — this is the per-sample kernel of
-  /// every noisy transient stage.
+  /// the per-deviate cost of Box-Muller. The golden reference for
+  /// fill_normal().
   double normal() {
     if (has_cached_normal_) {
       has_cached_normal_ = false;
@@ -68,6 +71,17 @@ class Rng {
 
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double sigma) { return mean + sigma * normal(); }
+
+  /// Deviates fill_normal() transforms per internal chunk; noise stages draw
+  /// their stack blocks at this size too.
+  static constexpr std::size_t kNormalBlock = 256;
+
+  /// Writes n standard normal deviates to out, bit-identical to n serial
+  /// normal() calls, including the cached partner deviate consumed on entry
+  /// and left behind on exit. Per chunk, the polar rejection walk runs first
+  /// (sequential draws, branch-free compaction of the accepted points), then
+  /// one scalar libm sqrt(-2 log(s) / s) pass over the chunk.
+  void fill_normal(double* out, std::size_t n);
 
   /// Uniform integer in [0, bound) without modulo bias.
   std::uint64_t uniform_int(std::uint64_t bound);

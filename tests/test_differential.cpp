@@ -363,11 +363,21 @@ TEST(KernelChecks, FaultSimCaptureBitIdenticalToBusValue) {
   EXPECT_EQ(r.worst.max_ulp, 0.0);
 }
 
+TEST(KernelChecks, NoiseBlocksBitIdenticalToPerSampleDraws) {
+  // Rng::fill_normal at the chunk edges with and without a cached partner,
+  // the amplifier, LO and mixer noise blocks, and the ADC's INL table over
+  // every code: all bit-identical to one normal() per deviate.
+  const check::Report r = check::check_noise_blocks_vs_per_sample_draws();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.worst.max_abs, 0.0);
+  EXPECT_EQ(r.worst.max_ulp, 0.0);
+}
+
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all thirteen pairs
+  opts.cases = 2;  // smoke pass over all fourteen pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 13u);
+  ASSERT_EQ(reports.size(), 14u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);

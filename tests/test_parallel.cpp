@@ -7,6 +7,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analog/adc.h"
 #include "core/coverage.h"
 #include "obs/config.h"
 #include "obs/span.h"
@@ -398,6 +400,43 @@ TEST(EvaluateTestMcParallel, MatchesAnalyticWithin3SigmaForAllThresholdRows) {
     EXPECT_NEAR(mc.fault_coverage_loss, an.fault_coverage_loss,
                 bound3(an.fault_coverage_loss, n_faulty))
         << row.label;
+  }
+}
+
+// Every code's INL, read at the middle of the code's cell.
+std::vector<double> inl_per_code(const analog::Adc& adc) {
+  const std::size_t codes = std::size_t{1} << adc.bits();
+  std::vector<double> out(codes);
+  for (std::size_t c = 0; c < codes; ++c) {
+    out[c] = adc.inl_at(-1.0 + static_cast<double>(2 * c + 1) /
+                                   static_cast<double>(codes - 1));
+  }
+  return out;
+}
+
+TEST(AdcParallel, ConcurrentFirstUseOfInlBow) {
+  // The INL bow of a resolution is built on first use and shared by every
+  // converter. Four threads race to that first use (nothing else in this
+  // binary builds a 15-bit converter, and ctest runs each test in its own
+  // process); each converter must equal the one built serially from the
+  // same draws. The TSan leg checks the race itself.
+  analog::AdcParams params;
+  params.bits = 15;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(500 + t);
+      start.arrive_and_wait();
+      got[t] = inl_per_code(analog::Adc::sampled(params, rng));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    Rng rng(500 + t);
+    EXPECT_EQ(got[t], inl_per_code(analog::Adc::sampled(params, rng))) << "thread " << t;
   }
 }
 

@@ -165,10 +165,67 @@ TEST(PathConfigValidation, RejectsFracBitsOutsideInt32Budget) {
 }
 
 TEST(PathConfigValidation, RejectsAdcBitsOutsideFilterBudget) {
-  for (const int bad : {0, 1, 25, 40}) {
+  // The rule is the ADC model's own 4..20 range, so 2, 3 and 21..24 (inside
+  // the FIR's input-width budget) never reach the Adc constructor.
+  for (const int bad : {0, 1, 2, 3, 21, 24, 25, 40}) {
     PathConfig c = reference_path_config();
     c.adc.bits = bad;
     EXPECT_THROW(validate(c), std::invalid_argument) << bad;
+    expect_rejected_naming(c, "adc.bits");
+  }
+}
+
+// One bad LPF, ADC or LO value and the field its rejection must name: each
+// must fail at validation, by name, not in a block constructor or the first
+// transient (or never, as a NaN path gain).
+struct BlockMutation {
+  const char* field;
+  void (*apply)(analog::LpfParams&, analog::AdcParams&, analog::LoParams&);
+};
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const BlockMutation kLpfAdcLoMutations[] = {
+    {"lpf.order", [](auto& f, auto&, auto&) { f.order = 18; }},
+    {"lpf.cutoff_hz", [](auto& f, auto&, auto&) { f.cutoff_hz.nominal = 17.0e6; }},
+    {"lpf.cutoff_hz", [](auto& f, auto&, auto&) { f.cutoff_hz.nominal = kInf; }},
+    {"lpf.cutoff_hz", [](auto& f, auto&, auto&) { f.cutoff_hz.nominal = kNaN; }},
+    {"lpf.cutoff_hz", [](auto& f, auto&, auto&) { f.cutoff_hz.nominal = 0.0; }},
+    {"lpf.passband_gain_db", [](auto& f, auto&, auto&) { f.passband_gain_db.nominal = kNaN; }},
+    {"lpf.clock_hz", [](auto& f, auto&, auto&) { f.clock_hz = kNaN; }},
+    {"lpf.clock_hz", [](auto& f, auto&, auto&) { f.clock_hz = 0.0; }},
+    {"lpf.clock_spur_v", [](auto& f, auto&, auto&) { f.clock_spur_v.nominal = kInf; }},
+    {"adc.vref", [](auto&, auto& a, auto&) { a.vref = kInf; }},
+    {"adc.vref", [](auto&, auto& a, auto&) { a.vref = kNaN; }},
+    {"adc.vref", [](auto&, auto& a, auto&) { a.vref = 0.0; }},
+    {"adc.gain_error", [](auto&, auto& a, auto&) { a.gain_error.nominal = kNaN; }},
+    {"adc.offset_error_v", [](auto&, auto& a, auto&) { a.offset_error_v.nominal = kNaN; }},
+    {"adc.inl_peak_lsb", [](auto&, auto& a, auto&) { a.inl_peak_lsb.nominal = -kInf; }},
+    {"adc.dnl_sigma_lsb", [](auto&, auto& a, auto&) { a.dnl_sigma_lsb.nominal = kNaN; }},
+    {"lo.phase_noise_rad", [](auto&, auto&, auto& l) { l.phase_noise_rad.nominal = kNaN; }},
+    {"lo.freq_error_ppm", [](auto&, auto&, auto& l) { l.freq_error_ppm.nominal = kInf; }},
+};
+
+TEST(PathConfigValidation, RejectsBadLpfAdcAndLoFieldsByName) {
+  for (const BlockMutation& m : kLpfAdcLoMutations) {
+    PathConfig c = reference_path_config();
+    m.apply(c.lpf, c.adc, c.lo);
+    expect_rejected_naming(c, m.field);
+  }
+}
+
+// The edges of the tightened ranges still validate, build and run.
+TEST(PathConfigValidation, AcceptedEdgesRunATransient) {
+  for (const int bits : {4, 20}) {
+    for (const int order : {2, 16}) {
+      PathConfig c = reference_path_config();
+      c.adc.bits = bits;
+      c.lpf.order = order;
+      c.lpf.cutoff_hz.nominal = 15.9e6;
+      const PathGraph g(graph_from_config(c));
+      stats::Rng rng(3);
+      const auto trace = g.run(rf_tone(g.config(), 10.4e6, 1e-3, 64), rng);
+      EXPECT_EQ(trace.adc_codes.size(), 64u) << bits << " bits, order " << order;
+    }
   }
 }
 
@@ -256,6 +313,16 @@ TEST(PathGraphValidation, PerBlockRulesApplyInsideTheGraph) {
   g = canonical_graph();
   g.blocks[1].lo.amplitude = 0.0;
   expect_rejected_naming(g, "lo.amplitude");
+
+  g = canonical_graph();
+  g.blocks[3].adc.bits = 3;
+  expect_rejected_naming(g, "adc.bits");
+
+  for (const BlockMutation& m : kLpfAdcLoMutations) {
+    g = canonical_graph();
+    m.apply(g.blocks[2].lpf, g.blocks[3].adc, g.blocks[1].lo);
+    expect_rejected_naming(g, m.field);
+  }
 
   for (const double bad : kNonFinite) {
     for (const auto& f : kAmpFields) {

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +181,39 @@ TEST(Rng, JumpDropsTheCachedNormal) {
   Rng cached_child = cached2.split();
   Rng plain_child = plain2.split();
   EXPECT_EQ(cached_child.normal(), plain_child.normal());
+}
+
+TEST(Rng, FillNormalMatchesSerialNormals) {
+  // fill_normal(out, n) is n serial normal() calls: the same deviates bit
+  // for bit, a partner deviate cached on entry served first, the one left
+  // over on exit cached, and the linear state left where the serial calls
+  // leave it. Sizes cover zero, one, odd counts and the chunk edges, then
+  // random sizes with a random entry cache.
+  constexpr std::size_t kB = Rng::kNormalBlock;
+  std::vector<std::pair<std::size_t, bool>> cases;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{3}, std::size_t{17}, kB - 1, kB, kB + 1,
+                              2 * kB - 1, 2 * kB, 2 * kB + 1, 3 * kB + 5}) {
+    cases.emplace_back(n, false);
+    cases.emplace_back(n, true);
+  }
+  Rng pick(2024);
+  for (int i = 0; i < 40; ++i) {
+    cases.emplace_back(pick.uniform_int(5 * kB), pick.uniform() < 0.5);
+  }
+  for (const auto& [n, precached] : cases) {
+    Rng block(1000 + n);
+    if (precached) (void)block.normal();  // caches the partner deviate
+    Rng serial = block;
+    std::vector<double> got(n);
+    block.fill_normal(got.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], serial.normal()) << "n " << n << " precached " << precached
+                                         << " index " << i;
+    }
+    EXPECT_EQ(block.normal(), serial.normal()) << "n " << n << " precached " << precached;
+    EXPECT_EQ(block.next_u64(), serial.next_u64()) << "n " << n;
+  }
 }
 
 }  // namespace
