@@ -662,7 +662,9 @@ Report check_simd_fault_sim_wide_vs_64(const RunOptions& opts) {
       [](stats::Rng& rng) { return random_fault_sim_case(rng); },
       [](const Case& c, stats::Rng&) {
         digital::FaultSimOptions fo;
-        fo.machine_words = 0;  // active backend width (8 words on AVX-512)
+        // The active backend's native width (8 words on AVX-512), not the
+        // default batch width, so the widest kernel stays covered.
+        fo.machine_words = simd::kernels().fault_words;
         fo.threads = 1;
         return flatten_fault_sim(
             digital::simulate_faults(c.nl, c.in, c.out, c.stimulus, c.faults, fo));
@@ -737,7 +739,7 @@ Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts) {
           digital::FaultSimOptions fo;
           fo.machine_words = 0;  // active backend width
           fo.threads = 1;
-          fo.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w) {
+          fo.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w, bool) {
             streams[i].assign(w.begin(), w.end());
           };
           const auto r = digital::simulate_faults(c.sim.nl, c.sim.in, bus, c.sim.stimulus,
@@ -789,6 +791,141 @@ Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts) {
         w.kv("fault_words", static_cast<std::uint64_t>(simd::kernels().fault_words));
       },
       // Exact logic on both sides: any difference is a decoding bug.
+      Tolerance::bit_identical(), opts);
+}
+
+// ---------------------------------------------------------------------------
+// Cone-restricted fault batches vs the full sweep. The fast side is
+// simulate_faults itself: faults ordered by fan-out cone, each batch
+// simulating only the union of its cones over the recorded good trace. The
+// golden side is the same ParallelSimulator with the whole netlist live, on
+// the contiguous, unsorted batch partition, read out with one bus_value()
+// per machine per cycle and an explicit per-machine exact compare.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// A random sequential circuit whose DFFs partly read nets declared after
+// them (feedback through state), with constant-fed gates and an unused
+// input on the output bus, against faults that include every input, DFF Q
+// and constant site. Half the cases keep only a handful of faults, so most
+// output bits lie outside every cone.
+FaultSimCase random_cone_case(stats::Rng& rng) {
+  std::vector<digital::NetId> nets;
+  FaultSimCase c = random_fault_sim_case(rng, &nets);
+  digital::Netlist& nl = c.nl;
+  for (const digital::NetId q : std::vector<digital::NetId>(nl.dffs())) {
+    if (rng.uniform() < 0.6) {
+      nl.set_dff_input(q, q + static_cast<digital::NetId>(rng.uniform_int(nl.num_nets() - q)));
+    }
+  }
+  const digital::NetId c0 = nl.add_const(false);
+  const digital::NetId c1 = nl.add_const(true);
+  const digital::NetId unused = nl.add_input("unused");
+  const digital::NetId g0 = nl.add_gate(digital::GateType::kOr, c0, nets[rng.uniform_int(nets.size())]);
+  const digital::NetId g1 = nl.add_gate(digital::GateType::kXor, c1, nets[rng.uniform_int(nets.size())]);
+  for (const digital::NetId o : {g0, g1, unused, c.in.bits[0]}) c.out.bits.push_back(o);
+  if (!nl.dffs().empty()) c.out.bits.push_back(nl.dffs()[rng.uniform_int(nl.dffs().size())]);
+
+  std::vector<digital::Fault> pool = digital::collapsed_faults(nl);
+  for (const digital::NetId n : {c0, c1}) {
+    pool.push_back({n, false});
+    pool.push_back({n, true});
+  }
+  for (const digital::NetId n : nl.inputs()) {
+    if (n == unused) continue;
+    pool.push_back({n, false});
+    pool.push_back({n, true});
+  }
+  for (const digital::NetId n : nl.dffs()) {
+    pool.push_back({n, false});
+    pool.push_back({n, true});
+  }
+  std::erase_if(pool, [&](const digital::Fault& f) { return f.net == unused; });
+  // Sampled with replacement: a handful, or up to a few 512-machine batches.
+  const std::size_t count = rng.uniform() < 0.5
+                                ? 1 + rng.uniform_int(6)
+                                : 64 * rng.uniform_int(19) + 1 + rng.uniform_int(63);
+  c.faults.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    c.faults.push_back(pool[rng.uniform_int(pool.size())]);
+  }
+  return c;
+}
+
+constexpr std::size_t kConeWidths[] = {1, 4, 8};
+
+}  // namespace
+
+Report check_fault_sim_cone_vs_full_sweep(const RunOptions& opts) {
+  using Case = FaultSimCase;
+  return differential<Case>(
+      "fault_sim_cone_vs_full_sweep",
+      [](stats::Rng& rng) { return random_cone_case(rng); },
+      [](const Case& c, stats::Rng&) {
+        std::vector<double> out;
+        for (const std::size_t words : kConeWidths) {
+          std::vector<std::vector<std::int64_t>> streams(c.faults.size());
+          digital::FaultSimOptions fo;
+          fo.machine_words = static_cast<int>(words);
+          fo.threads = 1;
+          fo.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w, bool) {
+            streams[i].assign(w.begin(), w.end());
+          };
+          const auto r = digital::simulate_faults(c.nl, c.in, c.out, c.stimulus, c.faults, fo);
+          for (const bool d : r.detected) out.push_back(d ? 1.0 : 0.0);
+          for (const std::int64_t v : r.good_waveform) push_sample(out, v);
+          for (const auto& s : streams) {
+            for (const std::int64_t v : s) push_sample(out, v);
+          }
+        }
+        return out;
+      },
+      [](const Case& c, stats::Rng&) {
+        std::vector<double> out;
+        for (const std::size_t words : kConeWidths) {
+          const std::size_t per_batch = 64 * words - 1;
+          std::vector<std::vector<std::int64_t>> streams(c.faults.size());
+          std::vector<std::int64_t> good;
+          std::vector<double> detected(c.faults.size(), 0.0);
+          for (std::size_t base = 0; base < c.faults.size(); base += per_batch) {
+            const std::size_t batch = std::min(per_batch, c.faults.size() - base);
+            digital::ParallelSimulator sim(c.nl, words);  // whole netlist live
+            for (std::size_t i = 0; i < batch; ++i) {
+              sim.inject(c.faults[base + i], static_cast<int>(i + 1));
+            }
+            for (const std::int64_t x : c.stimulus) {
+              sim.set_bus(c.in, x);
+              sim.eval();
+              if (base == 0) good.push_back(sim.bus_value(c.out, 0));
+              for (std::size_t i = 0; i < batch; ++i) {
+                const int m = static_cast<int>(i + 1);
+                streams[base + i].push_back(sim.bus_value(c.out, m));
+                for (const digital::NetId b : c.out.bits) {
+                  if (sim.value_in_machine(b, m) != sim.value_in_machine(b, 0)) {
+                    detected[base + i] = 1.0;
+                  }
+                }
+              }
+              sim.clock();
+            }
+          }
+          out.insert(out.end(), detected.begin(), detected.end());
+          for (const std::int64_t v : good) push_sample(out, v);
+          for (const auto& s : streams) {
+            for (const std::int64_t v : s) push_sample(out, v);
+          }
+        }
+        return out;
+      },
+      [](const Case& c, obs::json::Writer& w) {
+        w.kv("nets", static_cast<std::uint64_t>(c.nl.num_nets()));
+        w.kv("dffs", static_cast<std::uint64_t>(c.nl.dffs().size()));
+        w.kv("faults", static_cast<std::uint64_t>(c.faults.size()));
+        w.kv("cycles", static_cast<std::uint64_t>(c.stimulus.size()));
+        w.kv("outputs", static_cast<std::uint64_t>(c.out.width()));
+      },
+      // Exact logic on both sides: any difference is a cone or trace bug.
       Tolerance::bit_identical(), opts);
 }
 
@@ -979,6 +1116,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_simd_fault_sim_wide_vs_64(opts),
       check_fault_sim_capture_vs_bus_value(opts),
       check_noise_blocks_vs_per_sample_draws(opts),
+      check_fault_sim_cone_vs_full_sweep(opts),
   };
 }
 

@@ -23,6 +23,9 @@
 //   Rng::fill_normal and the block  | one normal() per deviate, the stage
 //     noise stages (amp, LO, mixer, |   arithmetic spelled out per sample,
 //     ADC DNL walk + shared bow)    |   per-code std::sin for the INL bow
+//   simulate_faults' cone-restricted| the same ParallelSimulator with the
+//     batches over the good trace   |   whole netlist live, contiguous
+//     (W = 1, 4, 8)                 |   unsorted batches, bus_value readout
 //
 // The analytic guard-band pair is the regression net for the yield-integration
 // fix: with the threshold cuts missing from the integration grid, the
@@ -45,6 +48,7 @@ Report check_parallel_mc_vs_serial(const RunOptions& opts = {});
 Report check_guard_band_analytic_vs_mc(const RunOptions& opts = {});
 Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts = {});
 Report check_noise_blocks_vs_per_sample_draws(const RunOptions& opts = {});
+Report check_fault_sim_cone_vs_full_sweep(const RunOptions& opts = {});
 
 // SIMD backend vs forced-scalar pairs (base/simd.h). The reference side runs
 // the SAME public API under simd::ScopedIsa(kScalar) — the scalar backend is

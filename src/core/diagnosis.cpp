@@ -37,13 +37,11 @@ FaultSignature FaultDictionary::signature_of(
   FaultSignature sig;
   const dsp::Spectrum spec(tester_.output_volts(filter_out), tester_.digital_fs(),
                            plan_.window);
+  MSTS_REQUIRE(spec.num_bins() == mask_.num_bins(), "spectrum and mask sizes differ");
   for (std::size_t k = 0; k < spec.num_bins(); ++k) {
-    if (plan_.excluded[k]) continue;
-    const double excess = spec.power_db(k) - plan_.mask_power_db[k];
-    if (excess > 0.0) {
-      sig.bins.push_back(static_cast<std::uint32_t>(k));
-      sig.excess_db.push_back(static_cast<float>(excess));
-    }
+    if (!mask_.exceeds(spec, k)) continue;
+    sig.bins.push_back(static_cast<std::uint32_t>(k));
+    sig.excess_db.push_back(static_cast<float>(spec.power_db(k) - mask_.mask_db(k)));
   }
   return sig;
 }
@@ -52,18 +50,30 @@ FaultDictionary::FaultDictionary(const DigitalTester& tester,
                                  const DigitalTestPlan& plan,
                                  std::span<const std::int64_t> stimulus_codes,
                                  std::span<const digital::Fault> faults)
-    : tester_(tester), plan_(plan) {
+    : tester_(tester), plan_(plan), mask_(plan) {
   MSTS_REQUIRE(stimulus_codes.size() == plan.record, "stimulus length mismatch");
   // Signatures are built on the workers as the streams arrive, keyed by
-  // fault index; no fault's waveform outlives its batch.
+  // fault index; no fault's waveform outlives its batch. A stream equal to
+  // the good machine's shares the good stream's signature, taken once.
   entries_.resize(faults.size());
+  std::vector<std::uint8_t> as_good(faults.size(), 0);
   digital::FaultSimOptions opts;
-  opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> waveform) {
-    entries_[i] = signature_of(waveform);
-    entries_[i].fault = faults[i];
+  opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> waveform,
+                         bool differs) {
+    if (differs) {
+      entries_[i] = signature_of(waveform);
+    } else {
+      as_good[i] = 1;
+    }
   };
-  digital::simulate_faults(tester.netlist(), tester.input_bus(), tester.output_bus(),
-                           stimulus_codes, faults, opts);
+  const auto sim = digital::simulate_faults(tester.netlist(), tester.input_bus(),
+                                            tester.output_bus(), stimulus_codes, faults,
+                                            opts);
+  const FaultSignature good = signature_of(sim.good_waveform);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (as_good[i]) entries_[i] = good;
+    entries_[i].fault = faults[i];
+  }
 }
 
 std::vector<DiagnosisCandidate> FaultDictionary::diagnose(

@@ -53,6 +53,7 @@ class FaultDictionary {
  private:
   const DigitalTester& tester_;
   DigitalTestPlan plan_;
+  MaskTest mask_;
   std::vector<FaultSignature> entries_;
 };
 

@@ -21,6 +21,35 @@ digital::FirCircuit build_path_fir(const path::PathConfig& c) {
 
 }  // namespace
 
+MaskTest::MaskTest(const DigitalTestPlan& plan)
+    : mask_db_(plan.mask_power_db), excluded_(plan.excluded.begin(), plan.excluded.end()) {
+  MSTS_REQUIRE(excluded_.size() == mask_db_.size(), "mask and exclusion sizes differ");
+  above_.reserve(mask_db_.size());
+  below_.reserve(mask_db_.size());
+  for (double m : mask_db_) {
+    const double thr = std::pow(10.0, m / 10.0);
+    above_.push_back(thr * (1.0 + 1e-9));
+    below_.push_back(thr * (1.0 - 1e-9));
+  }
+}
+
+bool MaskTest::exceeds(const dsp::Spectrum& spec, std::size_t k) const {
+  if (excluded_[k]) return false;
+  // power_db() floors the power at 1e-300 before its log10; so does this.
+  const double p = std::max(spec.power(k), 1e-300);
+  if (p > above_[k]) return true;
+  if (p < below_[k]) return false;
+  return spec.power_db(k) > mask_db_[k];
+}
+
+bool MaskTest::any(const dsp::Spectrum& spec) const {
+  MSTS_REQUIRE(spec.num_bins() == mask_db_.size(), "spectrum and mask sizes differ");
+  for (std::size_t k = 0; k < mask_db_.size(); ++k) {
+    if (exceeds(spec, k)) return true;
+  }
+  return false;
+}
+
 DigitalTester::DigitalTester(const path::PathConfig& config)
     : config_(config),
       model_(config),
@@ -254,29 +283,31 @@ DigitalTester::SpectralOutcome DigitalTester::spectral_campaign(
   // The good-circuit spectrum of the ideal `reference_codes` is already baked
   // into the plan's mask (plan() regenerates exactly these codes), so the
   // campaign only needs to compare each machine against the mask.
-
+  const MaskTest mask(plan);
   auto flagged = [&](std::span<const std::int64_t> waveform) {
-    const dsp::Spectrum spec(output_volts(waveform), config_.digital_fs(), plan.window);
-    for (std::size_t k = 0; k < spec.num_bins(); ++k) {
-      if (plan.excluded[k]) continue;
-      if (spec.power_db(k) > plan.mask_power_db[k]) return true;
-    }
-    return false;
+    return mask.any(dsp::Spectrum(output_volts(waveform), config_.digital_fs(), plan.window));
   };
 
   // Each fault's verdict is taken on the worker that simulated it, straight
   // from the streamed waveform, into an index-keyed byte (vector<bool> would
-  // pack neighbouring faults into one shared word).
+  // pack neighbouring faults into one shared word). A stream equal to the
+  // good machine's gets the good stream's verdict, filled in below without
+  // a spectrum of its own.
+  constexpr std::uint8_t kAsGood = 2;
   std::vector<std::uint8_t> flags(faults.size(), 0);
   digital::FaultSimOptions opts;
-  opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> waveform) {
-    flags[i] = flagged(waveform) ? 1 : 0;
+  opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> waveform,
+                         bool differs) {
+    flags[i] = !differs ? kAsGood : flagged(waveform) ? 1 : 0;
   };
   const auto sim = digital::simulate_faults(expanded_, input_, output_, stimulus_codes,
                                             faults, opts);
 
   SpectralOutcome out;
   out.good_circuit_flagged = flagged(sim.good_waveform);
+  for (std::uint8_t& f : flags) {
+    if (f == kAsGood) f = out.good_circuit_flagged ? 1 : 0;
+  }
   out.result.total = faults.size();
   out.result.detected_flags.assign(flags.begin(), flags.end());
   out.result.detected = static_cast<std::size_t>(

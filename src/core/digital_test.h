@@ -49,6 +49,33 @@ struct DigitalTestPlan {
   dsp::WindowType window = dsp::WindowType::kBlackmanHarris4;
 };
 
+/// The plan's detection predicate, `spec.power_db(k) > mask_power_db[k]` on
+/// every non-excluded bin, decided in the linear power domain: a bin whose
+/// power(k) clears the linear threshold by more than a 1e-9 relative band
+/// is decided without a log10; only a bin inside the band falls back to the
+/// dB comparison, so the predicate is exactly the dB one.
+class MaskTest {
+ public:
+  explicit MaskTest(const DigitalTestPlan& plan);
+
+  /// True when bin k is not excluded and lies above the mask.
+  bool exceeds(const dsp::Spectrum& spec, std::size_t k) const;
+
+  /// True when any bin exceeds the mask.
+  bool any(const dsp::Spectrum& spec) const;
+
+  std::size_t num_bins() const { return mask_db_.size(); }
+
+  /// The mask level of bin k, dB.
+  double mask_db(std::size_t k) const { return mask_db_[k]; }
+
+ private:
+  std::vector<double> mask_db_;
+  std::vector<double> above_;  ///< 10^(mask/10) * (1 + 1e-9)
+  std::vector<double> below_;  ///< 10^(mask/10) * (1 - 1e-9)
+  std::vector<std::uint8_t> excluded_;
+};
+
 /// Result of a fault-detection campaign on the filter netlist.
 struct CampaignResult {
   std::size_t total = 0;

@@ -12,6 +12,17 @@
 //    output spectra within a noise-derived tolerance, the paper's
 //    translated-test regime.
 //
+// Batch partition. A call first runs the good machine alone over the whole
+// netlist and records its value of every net in every cycle (one bit per
+// net per cycle). When the faults need more than one batch, they are
+// ordered by fan-out cone — largest cone first, then by the fault site's
+// topological position — and cut into consecutive batches; one batch keeps
+// the submitted order. Each batch simulates only the union of its faults'
+// cones, closed through DFFs (ParallelSimulator's live set): every other
+// net carries the good machine's value, read from the recorded trace. This
+// is exact, so the partition changes the speed, never a verdict or stream
+// (PROOFS-style fault grouping, Niermann, Cheng and Patel 1992).
+//
 // Streaming contract (FaultSimOptions::on_waveform):
 //  * Capture is per batch. Each cycle the worker copies the output bus
 //    words into a batch-local bit-plane buffer; when the batch ends,
@@ -21,11 +32,14 @@
 //  * The visitor runs on the worker threads, concurrently with itself,
 //    exactly once per fault index (the index into `faults`). It must
 //    confine its writes to per-index state.
+//  * `differs` is the fault's exact-compare verdict: false exactly when the
+//    stream equals the good machine's stream, so a verdict that depends
+//    only on the stream is the good stream's verdict.
 //  * The stream is valid only for the duration of the call.
 //  * Batches run in any order; within a batch, indices ascend. Results
 //    keyed by index are therefore identical at every thread count.
 //  * A throwing visitor ends its batch; simulate_faults rethrows the
-//    exception of the lowest failing fault index.
+//    exception of the lowest failing fault index once every batch is done.
 // capture_waveforms is a thin user of the same path: it stores every
 // stream in FaultSimResult::waveforms.
 #pragma once
@@ -46,7 +60,8 @@ struct FaultSimOptions {
   bool capture_waveforms = false;  ///< Keep per-fault output streams.
   /// Called on a worker thread with each fault's output stream (one sample
   /// per stimulus cycle); see the streaming contract above.
-  std::function<void(std::size_t fault_index, std::span<const std::int64_t> waveform)>
+  std::function<void(std::size_t fault_index, std::span<const std::int64_t> waveform,
+                     bool differs)>
       on_waveform;
   /// Exact compare may end a batch early (ignored while streams are taken).
   bool stop_at_first_detection = false;
@@ -56,10 +71,11 @@ struct FaultSimOptions {
   /// MSTS_THREADS / hardware concurrency; 1 is the serial path.
   int threads = 0;
   /// 64-bit words per net: each batch simulates 64*machine_words - 1 faults
-  /// beside the good machine (bit 0). 0 defers to the active SIMD backend's
-  /// fault_words (1 scalar, 4 AVX2, 8 AVX-512). Detection is exact logic,
-  /// so the verdicts are bit-identical at every width — only the batch
-  /// partition (and the speed) changes.
+  /// beside the good machine (bit 0). 0 defers to default_machine_words()
+  /// (digital/sim.h), the measured per-ISA width: 1 scalar, 2 NEON, 4 AVX2
+  /// and 4 AVX-512. Detection is exact logic, so the verdicts are
+  /// bit-identical at every width — only the batch partition (and the
+  /// speed) changes.
   int machine_words = 0;
 };
 
@@ -76,7 +92,9 @@ struct FaultSimResult {
 };
 
 /// Simulates `faults` against the stimulus (one input-bus sample per cycle).
-/// DFF state starts at zero for every machine.
+/// DFF state starts at zero for every machine. Both buses must be 1..64
+/// bits wide with nets in range, the input bus of primary inputs only;
+/// a violation throws std::invalid_argument naming the bus.
 FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& output,
                                std::span<const std::int64_t> stimulus,
                                std::span<const Fault> faults,

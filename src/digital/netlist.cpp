@@ -37,6 +37,12 @@ NetId Netlist::add_dff(NetId d, std::string name) {
   return id;
 }
 
+void Netlist::set_dff_input(NetId dff, NetId d) {
+  MSTS_REQUIRE(dff < gates_.size() && gates_[dff].type == GateType::kDff, "net is not a DFF");
+  MSTS_REQUIRE(d < gates_.size(), "DFF data fanin does not exist");
+  gates_[dff].fanin0 = d;
+}
+
 void Netlist::mark_output(NetId net, std::string name) {
   MSTS_REQUIRE(net < gates_.size(), "output net does not exist");
   outputs_.push_back(net);
@@ -56,36 +62,48 @@ std::vector<int> Netlist::fanout_counts() const {
 
 std::vector<NetId> Netlist::topo_order() const {
   // Kahn's algorithm over combinational dependencies. DFF Q nets are sources
-  // (their value comes from state, not from this cycle's logic).
-  std::vector<int> pending(gates_.size(), 0);
-  std::vector<std::vector<NetId>> consumers(gates_.size());
-  std::vector<NetId> ready;
-  ready.reserve(gates_.size());
-
-  for (NetId id = 0; id < gates_.size(); ++id) {
+  // (their value comes from state, not from this cycle's logic). Consumers
+  // are kept in flat CSR arrays: simulate_faults builds one simulator per
+  // batch, and each asks for this order.
+  const std::size_t n = gates_.size();
+  auto is_source = [](GateType t) {
+    return t == GateType::kInput || t == GateType::kConst0 || t == GateType::kConst1 ||
+           t == GateType::kDff;
+  };
+  std::vector<std::uint32_t> pending(n, 0);
+  std::vector<std::uint32_t> first(n + 1, 0);
+  for (NetId id = 0; id < n; ++id) {
     const Gate& g = gates_[id];
-    if (g.type == GateType::kInput || g.type == GateType::kConst0 ||
-        g.type == GateType::kConst1 || g.type == GateType::kDff) {
-      ready.push_back(id);
-      continue;
-    }
-    const int n = arity(g.type);
-    pending[id] = n;
-    if (n >= 1) consumers[g.fanin0].push_back(id);
-    if (n >= 2) consumers[g.fanin1].push_back(id);
+    if (is_source(g.type)) continue;
+    const int a = arity(g.type);
+    pending[id] = static_cast<std::uint32_t>(a);
+    if (a >= 1) ++first[g.fanin0 + 1];
+    if (a >= 2) ++first[g.fanin1 + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) first[i + 1] += first[i];
+  std::vector<NetId> consumers(first[n]);
+  std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+  for (NetId id = 0; id < n; ++id) {
+    const Gate& g = gates_[id];
+    if (is_source(g.type)) continue;
+    const int a = arity(g.type);
+    if (a >= 1) consumers[fill[g.fanin0]++] = id;
+    if (a >= 2) consumers[fill[g.fanin1]++] = id;
   }
 
+  // The order doubles as the ready queue.
   std::vector<NetId> order;
-  order.reserve(gates_.size());
-  std::size_t head = 0;
-  while (head < ready.size()) {
-    const NetId id = ready[head++];
-    order.push_back(id);
-    for (NetId c : consumers[id]) {
-      if (--pending[c] == 0) ready.push_back(c);
+  order.reserve(n);
+  for (NetId id = 0; id < n; ++id) {
+    if (is_source(gates_[id].type)) order.push_back(id);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const NetId id = order[head];
+    for (std::uint32_t e = first[id]; e < first[id + 1]; ++e) {
+      if (--pending[consumers[e]] == 0) order.push_back(consumers[e]);
     }
   }
-  MSTS_REQUIRE(order.size() == gates_.size(), "combinational cycle in netlist");
+  MSTS_REQUIRE(order.size() == n, "combinational cycle in netlist");
   return order;
 }
 
@@ -139,7 +157,7 @@ Netlist Netlist::with_explicit_branches() const {
                                ? out.add_gate(GateType::kBuf, remap[g.fanin0], 0,
                                               g.name + ".brD")
                                : remap[g.fanin0];
-    out.gates_[remap[id]].fanin0 = mapped_d;
+    out.set_dff_input(remap[id], mapped_d);
   }
 
   for (std::size_t i = 0; i < outputs_.size(); ++i) {

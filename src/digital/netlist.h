@@ -36,6 +36,9 @@ class Netlist {
   NetId add_gate(GateType type, NetId a, NetId b = 0, std::string name = "");
   /// Adds a D flip-flop whose D pin is `d`; returns the Q net.
   NetId add_dff(NetId d, std::string name = "");
+  /// Reconnects the D pin of DFF `dff` to `d`, which may be declared later:
+  /// the way a feedback loop through state (an accumulator) is closed.
+  void set_dff_input(NetId dff, NetId d);
   /// Marks a net as a primary output.
   void mark_output(NetId net, std::string name = "");
 

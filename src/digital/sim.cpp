@@ -55,42 +55,100 @@ bool is_source(GateType t) {
 
 }  // namespace
 
-ParallelSimulator::ParallelSimulator(const Netlist& nl, std::size_t machine_words)
-    : netlist_(nl),
-      words_(machine_words != 0
-                 ? machine_words
-                 : static_cast<std::size_t>(simd::kernels().fault_words)),
-      kern_(kernels_for_words(words_)),
-      values_(nl.num_nets() * words_, 0),
-      and_masks_(nl.num_nets() * words_, ~0ull),
-      or_masks_(nl.num_nets() * words_, 0),
-      input_index_(nl.num_nets(), 0) {
-  dff_index_.assign(nl.num_nets(), 0);
-  state_.assign(nl.dffs().size() * words_, 0);
-  for (std::uint32_t i = 0; i < nl.dffs().size(); ++i) dff_index_[nl.dffs()[i]] = i;
-  input_words_.assign(nl.inputs().size() * words_, 0);
-  for (std::uint32_t i = 0; i < nl.inputs().size(); ++i) input_index_[nl.inputs()[i]] = i;
+std::size_t default_machine_words() {
+  // Measured on the Sec. 5 fault campaign (cone-restricted batches, 4-core
+  // AVX-512 host; table in DESIGN.md, SIMD layer item 4): 4 words ran as
+  // fast as 8 with 28 % less peak memory, and 1 or 2 words were ~2x
+  // slower. 4 words on an AVX-512 host run the AVX2 fault_eval kernel.
+  // NEON keeps its native width (not measured).
+  switch (simd::active_isa()) {
+    case simd::Isa::kScalar: return 1;
+    case simd::Isa::kNeon: return 2;
+    case simd::Isa::kAvx2:
+    case simd::Isa::kAvx512: return 4;
+  }
+  return 1;
+}
 
-  // Split the topo order into source writes and the logic-gate sweep the
-  // fault_eval kernel runs. Sources have no fanins, so evaluating all of
-  // them before all gates preserves topological correctness.
-  const auto order = nl.topo_order();
+ParallelSimulator::ParallelSimulator(const Netlist& nl, std::size_t machine_words,
+                                     std::span<const std::uint8_t> live)
+    : netlist_(nl),
+      words_(machine_words != 0 ? machine_words : default_machine_words()),
+      kern_(kernels_for_words(words_)),
+      whole_(live.empty()) {
+  const std::size_t n = nl.num_nets();
+  MSTS_REQUIRE(whole_ || live.size() == n, "live set must flag every net");
+  live_.assign(n, 1);
+  if (!whole_) {
+    for (std::size_t i = 0; i < n; ++i) live_[i] = live[i] != 0 ? 1 : 0;
+  }
+
+  // Stored nets: the live ones, plus the held nets live logic reads (gate
+  // fanins and live DFFs' D pins outside the set), in ascending net order —
+  // the identity layout for a whole-netlist simulator.
+  std::vector<std::uint8_t> stored(live_);
+  for (NetId id = 0; id < n && !whole_; ++id) {
+    if (!live_[id]) continue;
+    const Gate& g = nl.gate(id);
+    const int a = arity(g.type);
+    if (a >= 1) stored[g.fanin0] = 1;
+    if (a >= 2) stored[g.fanin1] = 1;
+  }
   const std::uint32_t w32 = static_cast<std::uint32_t>(words_);
-  for (NetId id : order) {
+  slot_.assign(n, kNotStored);
+  std::uint32_t count = 0;
+  for (NetId id = 0; id < n; ++id) {
+    if (!stored[id]) continue;
+    slot_[id] = count;
+    if (!live_[id]) held_.push_back({count * w32, id});
+    ++count;
+  }
+  values_.assign(count * words_, 0);
+  and_masks_.assign(count * words_, ~0ull);
+  or_masks_.assign(count * words_, 0);
+
+  input_index_.assign(n, kNotStored);
+  std::uint32_t live_inputs = 0;
+  for (NetId in : nl.inputs()) {
+    if (live_[in]) input_index_[in] = live_inputs++;
+  }
+  input_words_.assign(live_inputs * words_, 0);
+  std::vector<std::uint32_t> dff_index(n, 0);
+  for (NetId q : nl.dffs()) {
+    if (!live_[q]) continue;
+    dff_index[q] = static_cast<std::uint32_t>(dff_d_.size());
+    dff_d_.push_back(slot_[nl.gate(q).fanin0] * w32);
+  }
+  state_.assign(dff_d_.size() * words_, 0);
+
+  // Split the live topo order into source writes and the logic-gate sweep
+  // the fault_eval kernel runs. Sources have no fanins, so evaluating all of
+  // them before all gates preserves topological correctness.
+  for (NetId id : nl.topo_order()) {
+    if (!live_[id]) continue;
     const Gate& g = nl.gate(id);
     if (is_source(g.type)) {
       std::uint32_t src = 0;
       if (g.type == GateType::kInput) src = input_index_[id] * w32;
-      if (g.type == GateType::kDff) src = dff_index_[id] * w32;
-      sources_.push_back({static_cast<std::uint32_t>(id) * w32, src,
-                          static_cast<std::uint32_t>(g.type)});
+      if (g.type == GateType::kDff) src = dff_index[id] * w32;
+      sources_.push_back({slot_[id] * w32, src, static_cast<std::uint32_t>(g.type)});
     } else {
-      gate_ops_.push_back({static_cast<std::uint32_t>(id) * w32,
-                           static_cast<std::uint32_t>(g.fanin0) * w32,
-                           static_cast<std::uint32_t>(g.fanin1) * w32,
+      const std::uint32_t a = slot_[g.fanin0] * w32;
+      gate_ops_.push_back({slot_[id] * w32, a,
+                           arity(g.type) == 2 ? slot_[g.fanin1] * w32 : a,
                            static_cast<std::uint32_t>(g.type)});
     }
   }
+}
+
+std::size_t ParallelSimulator::offset(NetId net) const {
+  MSTS_REQUIRE(net < slot_.size() && slot_[net] != kNotStored,
+               "net is not stored by this simulator");
+  return static_cast<std::size_t>(slot_[net]) * words_;
+}
+
+const std::uint64_t* ParallelSimulator::value_words(NetId net) const {
+  return values_.data() + offset(net);
 }
 
 void ParallelSimulator::clear_faults() {
@@ -100,14 +158,16 @@ void ParallelSimulator::clear_faults() {
 
 void ParallelSimulator::inject(const Fault& fault, int machine) {
   MSTS_REQUIRE(fault.net < netlist_.num_nets(), "fault net out of range");
+  MSTS_REQUIRE(live_[fault.net] != 0, "fault net is outside the live set");
   MSTS_REQUIRE(machine >= 0 && machine < static_cast<int>(machines()),
                "machine out of range");
   const std::size_t word = static_cast<std::size_t>(machine) / 64;
   const std::uint64_t bit = 1ull << (static_cast<std::size_t>(machine) % 64);
+  const std::size_t at = offset(fault.net) + word;
   if (fault.stuck_at_one) {
-    or_masks_[fault.net * words_ + word] |= bit;
+    or_masks_[at] |= bit;
   } else {
-    and_masks_[fault.net * words_ + word] &= ~bit;
+    and_masks_[at] &= ~bit;
   }
 }
 
@@ -117,13 +177,34 @@ void ParallelSimulator::set_input(NetId input, bool value) {
   MSTS_REQUIRE(input < netlist_.num_nets() &&
                    netlist_.gate(input).type == GateType::kInput,
                "net is not a primary input");
-  const std::size_t base = input_index_[input] * words_;
-  std::fill_n(input_words_.begin() + base, words_, value ? ~0ull : 0ull);
+  const std::uint32_t k = input_index_[input];
+  if (k == kNotStored) return;  // outside the live set: load_held() drives it
+  std::fill_n(input_words_.begin() + k * words_, words_, value ? ~0ull : 0ull);
 }
 
 void ParallelSimulator::set_bus(const Bus& bus, std::int64_t value) {
+  MSTS_REQUIRE(bus.width() >= 1 && bus.width() <= 64, "bus width must be 1..64");
   for (std::size_t i = 0; i < bus.width(); ++i) {
     set_input(bus.bits[i], ((value >> i) & 1) != 0);
+  }
+}
+
+void ParallelSimulator::load_held(const std::uint64_t* good_row) {
+  for (const Held& h : held_) {
+    const std::uint64_t v = 0 - ((good_row[h.net / 64] >> (h.net % 64)) & 1ull);
+    std::fill_n(values_.data() + h.out, words_, v);
+  }
+}
+
+void ParallelSimulator::good_row(std::uint64_t* row) const {
+  MSTS_REQUIRE(whole_, "good_row needs a whole-netlist simulator");
+  // Whole netlist: net n is stored at n * words_.
+  const std::size_t n = netlist_.num_nets();
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t m = std::min<std::size_t>(64, n - base);
+    std::uint64_t acc = 0;
+    for (std::size_t j = 0; j < m; ++j) acc |= (values_[(base + j) * words_] & 1ull) << j;
+    row[base / 64] = acc;
   }
 }
 
@@ -157,10 +238,8 @@ void ParallelSimulator::eval() {
 }
 
 void ParallelSimulator::clock() {
-  const auto& dffs = netlist_.dffs();
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const std::size_t src = netlist_.gate(dffs[i]).fanin0 * words_;
-    std::copy_n(values_.begin() + src, words_, state_.begin() + i * words_);
+  for (std::size_t i = 0; i < dff_d_.size(); ++i) {
+    std::copy_n(values_.begin() + dff_d_[i], words_, state_.begin() + i * words_);
   }
 }
 
@@ -169,7 +248,7 @@ bool ParallelSimulator::value_in_machine(NetId net, int machine) const {
                "machine out of range");
   const std::size_t word = static_cast<std::size_t>(machine) / 64;
   const std::size_t bit = static_cast<std::size_t>(machine) % 64;
-  return ((values_[net * words_ + word] >> bit) & 1ull) != 0;
+  return ((values_[offset(net) + word] >> bit) & 1ull) != 0;
 }
 
 std::int64_t ParallelSimulator::bus_value(const Bus& bus, int machine) const {
@@ -188,7 +267,7 @@ std::int64_t ParallelSimulator::bus_value(const Bus& bus, int machine) const {
 
 void ParallelSimulator::capture_planes(const Bus& bus, std::uint64_t* planes) const {
   for (std::size_t b = 0; b < bus.width(); ++b) {
-    std::copy_n(values_.data() + bus.bits[b] * words_, words_, planes + b * words_);
+    std::copy_n(values_.data() + offset(bus.bits[b]), words_, planes + b * words_);
   }
 }
 

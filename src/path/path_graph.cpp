@@ -173,6 +173,7 @@ std::vector<std::int32_t> design_fir(std::size_t taps, double cutoff_norm,
 void validate(const PathConfig& config) {
   MSTS_REQUIRE(std::isfinite(config.analog_fs) && config.analog_fs > 0.0,
                "analog_fs must be a positive, finite rate");
+  require_finite_nominal(config.analog_flatness_db, "analog_flatness_db");
   validate_amp_block(config.amp);
   validate_mixer_block(config.mixer, config.lo, config.analog_fs);
   validate_adc_block(config.adc, config.adc_decimation);
@@ -184,6 +185,7 @@ void validate(const PathConfig& config) {
 void validate(const PathGraphConfig& graph) {
   MSTS_REQUIRE(std::isfinite(graph.analog_fs) && graph.analog_fs > 0.0,
                "analog_fs must be a positive, finite rate");
+  require_finite_nominal(graph.analog_flatness_db, "analog_flatness_db");
   MSTS_REQUIRE(!graph.blocks.empty(), "path graph needs at least one block");
   MSTS_REQUIRE(graph.count(BlockKind::kAdc) == 1,
                "path graph needs exactly one ADC block");

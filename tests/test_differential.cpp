@@ -353,6 +353,17 @@ TEST(KernelChecks, SimdFaultSimBitIdenticalAcrossWidths) {
   EXPECT_EQ(r.worst.max_ulp, 0.0);
 }
 
+TEST(KernelChecks, FaultSimConeBatchesBitIdenticalToFullSweep) {
+  // Cone-restricted, cone-ordered batches over the good trace give the
+  // full-netlist sweep's verdicts, streams and good waveform bit for bit —
+  // with DFF feedback, constant and input fault sites, output bits outside
+  // every cone, at 1, 4 and 8 words.
+  const check::Report r = check::check_fault_sim_cone_vs_full_sweep();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.worst.max_abs, 0.0);
+  EXPECT_EQ(r.worst.max_ulp, 0.0);
+}
+
 TEST(KernelChecks, FaultSimCaptureBitIdenticalToBusValue) {
   // Every fault's streamed output, decoded from bit planes, equals the
   // per-machine bus_value() capture — at output widths 1, 63 and 64 and
@@ -375,9 +386,9 @@ TEST(KernelChecks, NoiseBlocksBitIdenticalToPerSampleDraws) {
 
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all fourteen pairs
+  opts.cases = 2;  // smoke pass over all fifteen pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 14u);
+  ASSERT_EQ(reports.size(), 15u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);

@@ -2,6 +2,7 @@
 #include "core/digital_test.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -173,6 +174,50 @@ TEST(DigitalTester, OutputVoltsScalesLikeReceiverPath) {
   const auto v = tester.output_volts(raw);
   const double lsb = 2.0 * c.adc.vref / 4096.0;
   EXPECT_NEAR(v[0], lsb, 1e-12);
+}
+
+TEST(MaskTest, MatchesTheDbPredicateOnEveryBin) {
+  // The linear-domain test must decide exactly `power_db(k) > mask[k]`,
+  // including masks placed on a bin's own level (inside the fallback
+  // band), a hair either side of it, non-finite masks, excluded bins and
+  // bins below the 1e-300 power floor.
+  std::vector<double> x(256, 0.0);
+  for (std::size_t n = 0; n < 128; ++n) {
+    x[n] = std::sin(0.37 * static_cast<double>(n)) + 0.25 * std::cos(1.9 * n);
+  }
+  const dsp::Spectrum spec(x, 1.0, dsp::WindowType::kBlackmanHarris4);
+  const std::vector<double> offsets = {0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-3, -1e-3};
+  DigitalTestPlan plan;
+  plan.mask_power_db.resize(spec.num_bins());
+  plan.excluded.assign(spec.num_bins(), false);
+  for (std::size_t k = 0; k < spec.num_bins(); ++k) {
+    plan.mask_power_db[k] = spec.power_db(k) + offsets[k % offsets.size()];
+  }
+  plan.mask_power_db[3] = std::numeric_limits<double>::quiet_NaN();
+  plan.mask_power_db[4] = std::numeric_limits<double>::infinity();
+  plan.mask_power_db[5] = -std::numeric_limits<double>::infinity();
+  plan.mask_power_db[6] = -3200.0;  // threshold below the smallest normal
+  plan.mask_power_db[7] = -3000.0;  // the power_db floor itself
+  plan.excluded[8] = true;
+  const MaskTest mask(plan);
+  std::size_t above = 0;
+  for (std::size_t k = 0; k < spec.num_bins(); ++k) {
+    const bool expected = !plan.excluded[k] && spec.power_db(k) > plan.mask_power_db[k];
+    EXPECT_EQ(mask.exceeds(spec, k), expected) << "bin " << k;
+    above += expected ? 1 : 0;
+  }
+  EXPECT_GT(above, 0u);
+  EXPECT_EQ(mask.any(spec), above > 0);
+
+  // A silent record sits on the 1e-300 floor in every bin.
+  const dsp::Spectrum silent(std::vector<double>(256, 0.0), 1.0,
+                             dsp::WindowType::kBlackmanHarris4);
+  for (const double m : {-3000.0, -3000.0 + 1e-9, -3000.0 - 1e-9, -3100.0}) {
+    DigitalTestPlan flat;
+    flat.mask_power_db.assign(silent.num_bins(), m);
+    flat.excluded.assign(silent.num_bins(), false);
+    EXPECT_EQ(MaskTest(flat).exceeds(silent, 1), silent.power_db(1) > m) << m;
+  }
 }
 
 }  // namespace

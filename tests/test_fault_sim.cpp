@@ -215,7 +215,7 @@ TEST(FaultSim, StreamedVerdictsIdenticalAcrossThreadCounts) {
     FaultSimOptions opts;
     opts.threads = threads;
     opts.machine_words = 1;
-    opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w) {
+    opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w, bool) {
       ++visits[i];
       got[i] = powers(w);
     };
@@ -225,6 +225,42 @@ TEST(FaultSim, StreamedVerdictsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(visits, std::vector<int>(faults.size(), 1)) << threads << " threads";
     EXPECT_EQ(got, expected) << threads << " threads";
   }
+}
+
+TEST(FaultSim, VisitorDiffersFlagIsStreamUnequalToGood) {
+  // `differs` is false exactly when the fault's stream equals the good
+  // stream, i.e. it is the exact-compare verdict — over several
+  // cone-ordered batches at the default width.
+  const auto h = dsp::design_lowpass(5, 0.2);
+  const auto q = dsp::quantize_coefficients(h, 6);
+  const FirCircuit fir = build_fir(q, 6, 6);
+  const Netlist nl = fir.netlist.with_explicit_branches();
+  Bus in, out;
+  for (std::size_t i = 0; i < fir.input.width(); ++i) in.bits.push_back(nl.inputs()[i]);
+  for (std::size_t i = 0; i < fir.output.width(); ++i) out.bits.push_back(nl.outputs()[i]);
+  // A short, mostly quiet stimulus leaves many faults unexcited.
+  const std::vector<std::int64_t> stim = {0, 0, 5, 0, 0, 0, -3, 0};
+  const auto faults = collapsed_faults(nl);
+
+  std::vector<int> differs(faults.size(), -1);
+  std::vector<std::vector<std::int64_t>> streams(faults.size());
+  FaultSimOptions opts;
+  opts.threads = 2;
+  opts.machine_words = 1;
+  opts.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w, bool d) {
+    differs[i] = d ? 1 : 0;
+    streams[i].assign(w.begin(), w.end());
+  };
+  const auto r = simulate_faults(nl, in, out, stim, faults, opts);
+  std::size_t equal = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const bool same = streams[i] == r.good_waveform;
+    equal += same ? 1 : 0;
+    EXPECT_EQ(differs[i], same ? 0 : 1) << "fault " << i;
+    EXPECT_EQ(r.detected[i], !same) << "fault " << i;
+  }
+  EXPECT_GT(equal, 0u);
+  EXPECT_LT(equal, faults.size());
 }
 
 TEST(FaultSim, VisitorExceptionResolvesToLowestFailingIndex) {
@@ -243,7 +279,7 @@ TEST(FaultSim, VisitorExceptionResolvesToLowestFailingIndex) {
     FaultSimOptions opts;
     opts.threads = threads;
     opts.machine_words = 1;
-    opts.on_waveform = [](std::size_t i, std::span<const std::int64_t>) {
+    opts.on_waveform = [](std::size_t i, std::span<const std::int64_t>, bool) {
       if (i == 70 || i == 71 || i == 200) throw std::runtime_error(std::to_string(i));
     };
     try {
@@ -253,6 +289,55 @@ TEST(FaultSim, VisitorExceptionResolvesToLowestFailingIndex) {
       EXPECT_STREQ(e.what(), "70") << threads << " threads";
     }
   }
+}
+
+// simulate_faults validates both buses on entry, by name: bus values are
+// int64, so a bus wider than 64 bits cannot be driven or decoded.
+void expect_rejected(const Netlist& nl, const Bus& in, const Bus& out, const char* message) {
+  FaultSimOptions opts;
+  opts.on_waveform = [](std::size_t, std::span<const std::int64_t>, bool) {
+    ADD_FAILURE() << "visitor reached past the bus check";
+  };
+  const std::vector<std::int64_t> stim = {1, 2, 3};
+  const std::vector<Fault> faults = {Fault{in.bits.front(), true}};
+  try {
+    simulate_faults(nl, in, out, stim, faults, opts);
+    ADD_FAILURE() << "accepted: " << message;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+  }
+}
+
+TEST(FaultSim, RejectsInputBusWiderThan64Bits) {
+  Netlist nl;
+  Bus in;
+  for (int i = 0; i < 65; ++i) in.bits.push_back(nl.add_input());
+  const Bus out{{nl.add_gate(GateType::kXor, in.bits[0], in.bits[64])}};
+  expect_rejected(nl, in, out, "input bus width must be 1..64");
+}
+
+TEST(FaultSim, RejectsOutputBusWiderThan64Bits) {
+  SmallCircuit c = make_small();
+  Bus wide;
+  for (int i = 0; i < 65; ++i) wide.bits.push_back(c.out.bits[0]);
+  expect_rejected(c.nl, c.in, wide, "output bus width must be 1..64");
+  expect_rejected(c.nl, c.in, Bus{}, "output bus width must be 1..64");
+}
+
+TEST(FaultSim, RejectsBusNetOutOfRange) {
+  SmallCircuit c = make_small();
+  const Bus bad{{c.out.bits[0], static_cast<NetId>(c.nl.num_nets())}};
+  expect_rejected(c.nl, c.in, bad, "output bus net out of range");
+  Bus in = c.in;
+  in.bits.push_back(static_cast<NetId>(c.nl.num_nets() + 7));
+  expect_rejected(c.nl, in, c.out, "input bus net out of range");
+}
+
+TEST(FaultSim, RejectsInputBusBitThatIsNotAPrimaryInput) {
+  SmallCircuit c = make_small();
+  Bus in = c.in;
+  in.bits[1] = c.and_net;
+  expect_rejected(c.nl, in, c.out, "input bus bit is not a primary input");
 }
 
 TEST(FaultSim, CoverageOfEmptyFaultListIsZero) {

@@ -129,6 +129,9 @@ TEST(PathConfigValidation, RejectsNonFiniteAmpAndMixerNominals) {
       (c.mixer.*f.member).nominal = bad;
       expect_rejected_naming(c, f.name);
     }
+    PathConfig c = reference_path_config();
+    c.analog_flatness_db.nominal = bad;
+    expect_rejected_naming(c, "analog_flatness_db");
   }
 }
 
@@ -335,6 +338,9 @@ TEST(PathGraphValidation, PerBlockRulesApplyInsideTheGraph) {
       (g.blocks[1].mixer.*f.member).nominal = bad;
       expect_rejected_naming(g, f.name);
     }
+    g = canonical_graph();
+    g.analog_flatness_db.nominal = bad;
+    expect_rejected_naming(g, "analog_flatness_db");
   }
 }
 
