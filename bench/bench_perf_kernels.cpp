@@ -118,7 +118,7 @@ BENCHMARK(BM_FaultSimBatch);
 
 static void BM_PathTransient(benchmark::State& state) {
   const auto config = path::reference_path_config();
-  const path::PathGraph path(path::graph_from_config(config));
+  const path::PathGraph path(config);
   const dsp::Tone t{config.lo.freq_hz + 400e3, 1e-3, 0.0};
   analog::Signal rf;
   rf.fs = config.analog_fs;
@@ -164,8 +164,7 @@ BENCHMARK(BM_RngFillNormal)->Arg(8192);
 static void BM_PathSampled(benchmark::State& state) {
   // Manufacturing one Monte-Carlo device of the reference graph: every
   // block's parameter draws plus the ADC's per-instance INL table.
-  const path::PathGraphConfig graph =
-      path::graph_from_config(path::reference_path_config());
+  const path::PathGraphConfig graph = path::reference_path_config();
   stats::Rng rng(5);
   for (auto _ : state) {
     const auto g = path::PathGraph::sampled(graph, rng);
@@ -179,7 +178,7 @@ static void BM_PathGainMeasure(benchmark::State& state) {
   // and spectral read-back. measure_path_p1db_dbm calls this ~24 times and
   // the Monte-Carlo analyses thousands of times.
   const auto config = path::reference_path_config();
-  const path::PathGraph path(path::graph_from_config(config));
+  const path::PathGraph path(config);
   path::MeasureOptions opts;
   opts.digital_record = 1024;
   const double if_freq = path::coherent_if_freq(config, opts, 400e3);

@@ -33,10 +33,11 @@ namespace {
 // Distinct-but-valid configs: nudge a couple of nominals per index so every
 // variant exercises the same synthesis path with a different cache key.
 service::SynthesisRequest make_request(std::size_t variant) {
+  path::PathConfig cfg = path::reference_path_config();
+  cfg.amp.gain_db.nominal += 0.01 * static_cast<double>(variant % 97);
+  cfg.mixer.conv_gain_db.nominal -= 0.004 * static_cast<double>(variant % 89);
   service::SynthesisRequest req;
-  req.config = path::reference_path_config();
-  req.config.amp.gain_db.nominal += 0.01 * static_cast<double>(variant % 97);
-  req.config.mixer.conv_gain_db.nominal -= 0.004 * static_cast<double>(variant % 89);
+  req.graph = cfg;
   return req;
 }
 

@@ -1,8 +1,8 @@
 // Shared loading and regression-gating rules for the schema-v1 BENCH_*.json
 // reports emitted by obs::BenchReport, used by bench_compare (two-report
-// diff) and bench_trend (time series over many snapshots).
+// diff).
 //
-// The direction rules live here so both tools gate identically:
+// The direction rules:
 //   * keys containing 'per_sec' or 'throughput' are throughput-like — only
 //     decreases count as regressions;
 //   * keys ending in '_ns' or '_s_per_iter', or containing 'latency' or

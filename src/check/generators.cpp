@@ -26,18 +26,30 @@ path::PathConfig random_path_config(stats::Rng& rng) {
   return c;
 }
 
-void describe(const path::PathConfig& c, obs::json::Writer& w) {
-  w.kv("analog_fs", c.analog_fs);
-  w.kv("adc_decimation", static_cast<std::uint64_t>(c.adc_decimation));
-  w.kv("fir_taps", static_cast<std::uint64_t>(c.fir_taps));
-  w.kv("fir_cutoff_norm", c.fir_cutoff_norm);
-  w.kv("fir_coeff_frac_bits", c.fir_coeff_frac_bits);
-  w.kv("amp_gain_db", c.amp.gain_db.nominal);
-  w.kv("mixer_gain_db", c.mixer.conv_gain_db.nominal);
-  w.kv("lo_freq_hz", c.lo.freq_hz);
-  w.kv("lpf_cutoff_hz", c.lpf.cutoff_hz.nominal);
-  w.kv("lpf_order", c.lpf.order);
-  w.kv("adc_bits", c.adc.bits);
+void describe(const path::PathGraphConfig& g, obs::json::Writer& w) {
+  w.kv("analog_fs", g.analog_fs);
+  w.key("blocks").begin_array();
+  for (const path::BlockConfig& b : g.blocks) {
+    w.begin_object().kv("kind", path::to_string(b.kind));
+    switch (b.kind) {
+      case path::BlockKind::kAmp: w.kv("gain_db", b.amp.gain_db.nominal); break;
+      case path::BlockKind::kMixer:
+        w.kv("conv_gain_db", b.mixer.conv_gain_db.nominal).kv("lo_freq_hz", b.lo.freq_hz);
+        break;
+      case path::BlockKind::kLpf:
+        w.kv("cutoff_hz", b.lpf.cutoff_hz.nominal).kv("order", b.lpf.order);
+        break;
+      case path::BlockKind::kAdc:
+        w.kv("bits", b.adc.bits).kv("decimation", std::uint64_t{b.adc_decimation});
+        break;
+      case path::BlockKind::kFir:
+        w.kv("taps", std::uint64_t{b.fir_taps}).kv("cutoff_norm", b.fir_cutoff_norm);
+        w.kv("coeff_frac_bits", b.fir_coeff_frac_bits);
+        break;
+    }
+    w.end_object();
+  }
+  w.end_array();
 }
 
 RecordCase random_record(stats::Rng& rng, std::size_t min_log2,

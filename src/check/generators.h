@@ -29,7 +29,9 @@ namespace msts::check {
 /// odd FIR lengths, perturbed block nominals. The analog rate stays at the
 /// reference 32 MHz so the LO always clears Nyquist.
 path::PathConfig random_path_config(stats::Rng& rng);
-void describe(const path::PathConfig& c, obs::json::Writer& w);
+/// Dumps a graph (a PathConfig converts): analog rate plus the key fields of
+/// each block, in order.
+void describe(const path::PathGraphConfig& g, obs::json::Writer& w);
 
 /// A sampled record: power-of-two length, a few coherent odd-bin tones plus
 /// optional white noise, and an analysis window.

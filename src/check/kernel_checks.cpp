@@ -293,13 +293,13 @@ Report check_path_workspace_vs_allocating_run(const RunOptions& opts) {
       "path_workspace_vs_allocating_run",
       [](stats::Rng& rng) { return random_path_case(rng); },
       [ws](const Case& c, stats::Rng& rng) {
-        const auto g = path::PathGraph::sampled(path::graph_from_config(c.cfg), rng);
+        const auto g = path::PathGraph::sampled(c.cfg, rng);
         const auto& trace = g.run(make_case_rf(c), rng, *ws);
         g.output_volts_into(trace, ws->volts);
         return flatten_trace(g, trace, ws->volts);
       },
       [](const Case& c, stats::Rng& rng) {
-        const auto g = path::PathGraph::sampled(path::graph_from_config(c.cfg), rng);
+        const auto g = path::PathGraph::sampled(c.cfg, rng);
         const path::PathGraph::Trace trace = g.run(make_case_rf(c), rng);
         return flatten_trace(g, trace, g.output_volts(trace));
       },
@@ -325,7 +325,7 @@ Report check_path_graph_vs_fig6_composition(const RunOptions& opts) {
       "path_graph_vs_fig6_composition",
       [](stats::Rng& rng) { return random_path_case(rng); },
       [](const Case& c, stats::Rng& rng) {
-        const auto g = path::PathGraph::sampled(path::graph_from_config(c.cfg), rng);
+        const auto g = path::PathGraph::sampled(c.cfg, rng);
         const path::PathGraph::Trace trace = g.run(make_case_rf(c), rng);
         return flatten_trace(g, trace, g.output_volts(trace));
       },

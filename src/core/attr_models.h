@@ -102,30 +102,14 @@ class FirAttrModel : public AttrModel {
 };
 
 /// The whole path in the attribute domain: one attribute model per block of
-/// a PathGraphConfig, cascaded in graph order.
+/// a PathGraphConfig, cascaded in graph order. Blocks are addressed by graph
+/// position; callers find a block with PathGraphConfig::index_of.
 class PathAttrModel {
  public:
-  /// Block indices of the *canonical* receiver graph (graph_from_config).
-  /// Generic graphs address blocks by position; use num_blocks() for bounds.
-  static constexpr std::size_t kAmp = 0;
-  static constexpr std::size_t kMixer = 1;
-  static constexpr std::size_t kLpf = 2;
-  static constexpr std::size_t kAdc = 3;
-  static constexpr std::size_t kFir = 4;
-  static constexpr std::size_t kNumBlocks = 5;
-
-  /// Canonical chain of a flat config (equivalent to the graph constructor
-  /// on graph_from_config(config)).
-  explicit PathAttrModel(const path::PathConfig& config);
-
-  /// Attribute cascade of an arbitrary (validated) path graph.
+  /// Attribute cascade of any path graph (validated here).
   explicit PathAttrModel(const path::PathGraphConfig& graph);
 
-  /// Number of blocks in the cascade.
-  std::size_t num_blocks() const { return blocks_.size(); }
-
-  /// Propagates an RF-input description through the first `nblocks` blocks
-  /// (num_blocks() = the full path).
+  /// Propagates an RF-input description through the first `nblocks` blocks.
   SignalAttributes forward_upto(const SignalAttributes& rf, std::size_t nblocks) const;
 
   /// Full-path propagation.

@@ -13,10 +13,28 @@ namespace msts::core {
 
 namespace {
 
-digital::FirCircuit build_path_fir(const path::PathConfig& c) {
-  const auto h = dsp::design_lowpass(c.fir_taps, c.fir_cutoff_norm);
-  const auto q = dsp::quantize_coefficients(h, c.fir_coeff_frac_bits);
-  return digital::build_fir(q, c.adc.bits, c.fir_coeff_frac_bits);
+using path::BlockKind;
+
+// The gate-level FIR of the graph's FIR block at the ADC's word width. Also
+// rejects, naming the kind, a graph without exactly one mixer and one LPF:
+// plan() reads one of each.
+digital::FirCircuit build_path_fir(const path::PathGraphConfig& g) {
+  g.only_block(BlockKind::kMixer);
+  g.only_block(BlockKind::kLpf);
+  const path::BlockConfig& fir = g.only_block(BlockKind::kFir);
+  const auto h = dsp::design_lowpass(fir.fir_taps, fir.fir_cutoff_norm);
+  const auto q = dsp::quantize_coefficients(h, fir.fir_coeff_frac_bits);
+  return digital::build_fir(q, g.only_block(BlockKind::kAdc).adc.bits,
+                            fir.fir_coeff_frac_bits);
+}
+
+// The plan's RF tones at the analog rate, one digital record long.
+analog::Signal rf_stimulus(const DigitalTestPlan& plan, const path::PathGraphConfig& g) {
+  analog::Signal rf;
+  rf.fs = g.analog_fs;
+  rf.samples = dsp::generate_tones(plan.rf_tones, 0.0, g.analog_fs,
+                                   plan.record * g.adc_decimation());
+  return rf;
 }
 
 }  // namespace
@@ -50,10 +68,10 @@ bool MaskTest::any(const dsp::Spectrum& spec) const {
   return false;
 }
 
-DigitalTester::DigitalTester(const path::PathConfig& config)
-    : config_(config),
-      model_(config),
-      fir_(build_path_fir(config)),
+DigitalTester::DigitalTester(const path::PathGraphConfig& graph)
+    : graph_(graph),
+      model_(graph_),
+      fir_(build_path_fir(graph_)),
       expanded_(fir_.netlist.with_explicit_branches()) {
   for (std::size_t i = 0; i < fir_.input.width(); ++i) {
     input_.bits.push_back(expanded_.inputs()[i]);
@@ -75,26 +93,31 @@ DigitalTestPlan DigitalTester::plan(const DigitalTestOptions& options) const {
   plan.record = options.record;
   plan.window = options.window;
 
+  const std::size_t adc_index = *graph_.index_of(BlockKind::kAdc);
+
   // Tones inside both the LPF pass-band and the FIR pass-band, product-clean.
-  const double fs_d = config_.digital_fs();
-  const double band_hi = 0.8 * std::min(config_.lpf.cutoff_hz.nominal,
-                                        config_.fir_cutoff_norm * fs_d);
+  const double fs_d = graph_.digital_fs();
+  const double band_hi =
+      0.8 * std::min(graph_.only_block(BlockKind::kLpf).lpf.cutoff_hz.nominal,
+                     graph_.only_block(BlockKind::kFir).fir_cutoff_norm * fs_d);
   plan.if_freqs = dsp::place_test_tones(fs_d, options.record, 0.1 * band_hi, band_hi,
                                         options.num_tones);
 
   // Composite amplitude: high enough to exercise the sign bit and a wide
   // dynamic range (the paper's rule), below ADC full scale and below the
   // path's saturation boundary.
-  plan.per_tone_adc_vpeak = options.adc_fullscale_fraction * config_.adc.vref /
+  plan.per_tone_adc_vpeak = options.adc_fullscale_fraction *
+                            graph_.blocks[adc_index].adc.vref /
                             static_cast<double>(options.num_tones);
 
   // Refer the required ADC-input level back to the primary input through the
   // nominal gains (translation by propagation of the stimulus).
+  const double lo_hz = graph_.only_block(BlockKind::kMixer).lo.freq_hz;
   plan.rf_tones.clear();
   for (double f_if : plan.if_freqs) {
-    const double f_rf = config_.lo.freq_hz + f_if;
+    const double f_rf = lo_hz + f_if;
     const double pi_amp =
-        model_.pi_amplitude_for(PathAttrModel::kAdc, f_rf, plan.per_tone_adc_vpeak);
+        model_.pi_amplitude_for(adc_index, f_rf, plan.per_tone_adc_vpeak);
     plan.rf_tones.push_back(dsp::Tone{f_rf, pi_amp, 0.0});
   }
 
@@ -107,7 +130,7 @@ DigitalTestPlan DigitalTester::plan(const DigitalTestOptions& options) const {
                              stats::Uncertain::exact(0.0)});
   }
   const SignalAttributes at_filter_in =
-      model_.forward_upto(make_stimulus(config_.analog_fs, probe), PathAttrModel::kAdc + 1);
+      model_.forward_upto(make_stimulus(graph_.analog_fs, probe), adc_index + 1);
   plan.expected_filter_in_snr_db = at_filter_in.snr_db();
   {
     double tone_amp = 0.0;
@@ -130,21 +153,15 @@ DigitalTestPlan DigitalTester::plan(const DigitalTestOptions& options) const {
   // (quantisation texture, INL distortion forests, clock-spur
   // intermodulation, phase-noise skirts) is thereby part of the mask base
   // and is never mistaken for a fault signature.
-  const path::PathGraph ref_path(path::graph_from_config(config_));
+  const path::PathGraph ref_path(graph_);
   stats::Rng ref_rng(0xD17E5EEDull ^ options.record);
-  analog::Signal ref_rf;
-  ref_rf.fs = config_.analog_fs;
-  ref_rf.samples = dsp::generate_tones(plan.rf_tones, 0.0, config_.analog_fs,
-                                       plan.record * config_.adc_decimation);
-  const auto ref_trace = ref_path.run(ref_rf, ref_rng);
+  const auto ref_trace = ref_path.run(rf_stimulus(plan, graph_), ref_rng);
   const dsp::Spectrum good(output_volts(ref_trace.filter_out), fs_d, options.window);
 
   // Per-bin noise estimate at the filter output: white noise at the filter
   // input shaped by |H|^2 (the "spectral analysis of the input patterns"
   // noise estimate of sec. 4.1).
   const double noise_in = at_filter_in.noise_power.nominal;
-  const auto h = dsp::design_lowpass(config_.fir_taps, config_.fir_cutoff_norm);
-  const auto q = dsp::quantize_coefficients(h, config_.fir_coeff_frac_bits);
   const double enbw = dsp::equivalent_noise_bandwidth(options.window);
 
   const std::size_t lobe = dsp::main_lobe_half_width(options.window);
@@ -171,7 +188,7 @@ DigitalTestPlan DigitalTester::plan(const DigitalTestOptions& options) const {
     double hmag = 0.0;
     for (double df : {-0.5 * bin_w, 0.0, 0.5 * bin_w}) {
       hmag = std::max(hmag, std::abs(dsp::frequency_response_fixed(
-                                q, config_.fir_coeff_frac_bits, (f + df) / fs_d)));
+                                fir_.coeffs, fir_.coeff_frac_bits, (f + df) / fs_d)));
     }
     double noise_bin =
         2.0 * noise_in * hmag * hmag * enbw / static_cast<double>(options.record);
@@ -229,10 +246,11 @@ std::vector<std::int64_t> DigitalTester::ideal_codes(const DigitalTestPlan& plan
     tones.push_back(dsp::Tone{f, plan.per_tone_adc_vpeak, 0.0});
   }
   const auto wave =
-      dsp::generate_tones(tones, 0.0, config_.digital_fs(), plan.record);
-  const double lsb = 2.0 * config_.adc.vref / static_cast<double>(1ll << config_.adc.bits);
-  const std::int64_t cmax = (1ll << (config_.adc.bits - 1)) - 1;
-  const std::int64_t cmin = -(1ll << (config_.adc.bits - 1));
+      dsp::generate_tones(tones, 0.0, graph_.digital_fs(), plan.record);
+  const analog::AdcParams& adc = graph_.only_block(BlockKind::kAdc).adc;
+  const double lsb = 2.0 * adc.vref / static_cast<double>(1ll << adc.bits);
+  const std::int64_t cmax = (1ll << (adc.bits - 1)) - 1;
+  const std::int64_t cmin = -(1ll << (adc.bits - 1));
   std::vector<std::int64_t> codes;
   codes.reserve(wave.size());
   for (double v : wave) {
@@ -244,12 +262,7 @@ std::vector<std::int64_t> DigitalTester::ideal_codes(const DigitalTestPlan& plan
 std::vector<std::int64_t> DigitalTester::path_codes(const DigitalTestPlan& plan,
                                                     const path::PathGraph& path,
                                                     stats::Rng& noise_rng) const {
-  const path::PathGraphConfig& g = path.config();
-  analog::Signal rf;
-  rf.fs = g.analog_fs;
-  rf.samples = dsp::generate_tones(plan.rf_tones, 0.0, g.analog_fs,
-                                   plan.record * g.adc_decimation());
-  return path.run(rf, noise_rng).adc_codes;
+  return path.run(rf_stimulus(plan, path.config()), noise_rng).adc_codes;
 }
 
 CampaignResult DigitalTester::exact_campaign(std::span<const std::int64_t> codes,
@@ -265,8 +278,9 @@ CampaignResult DigitalTester::exact_campaign(std::span<const std::int64_t> codes
 
 std::vector<double> DigitalTester::output_volts(
     std::span<const std::int64_t> filter_out) const {
-  const double lsb = 2.0 * config_.adc.vref / static_cast<double>(1ll << config_.adc.bits);
-  const double scale = lsb / static_cast<double>(1 << config_.fir_coeff_frac_bits);
+  const analog::AdcParams& adc = graph_.only_block(BlockKind::kAdc).adc;
+  const double lsb = 2.0 * adc.vref / static_cast<double>(1ll << adc.bits);
+  const double scale = lsb / static_cast<double>(1 << fir_.coeff_frac_bits);
   std::vector<double> out;
   out.reserve(filter_out.size());
   for (std::int64_t v : filter_out) out.push_back(static_cast<double>(v) * scale);
@@ -285,7 +299,7 @@ DigitalTester::SpectralOutcome DigitalTester::spectral_campaign(
   // campaign only needs to compare each machine against the mask.
   const MaskTest mask(plan);
   auto flagged = [&](std::span<const std::int64_t> waveform) {
-    return mask.any(dsp::Spectrum(output_volts(waveform), config_.digital_fs(), plan.window));
+    return mask.any(dsp::Spectrum(output_volts(waveform), graph_.digital_fs(), plan.window));
   };
 
   // Each fault's verdict is taken on the worker that simulated it, straight

@@ -87,10 +87,14 @@ struct CampaignResult {
   }
 };
 
-/// Synthesises and executes digital-filter tests for a path configuration.
+/// Synthesises and executes digital-filter tests for a path graph. The
+/// device under test is the graph's FIR block at the ADC's word width; the
+/// tone band and the RF stimulus come from its mixer (LO) and LPF blocks. A
+/// graph with no FIR, mixer or LPF block, or several of one, is rejected
+/// with a message naming the kind.
 class DigitalTester {
  public:
-  explicit DigitalTester(const path::PathConfig& config);
+  explicit DigitalTester(const path::PathGraphConfig& graph);
 
   /// Chooses tone placement and amplitudes, propagates the stimulus through
   /// the attribute model, and derives the detection mask.
@@ -135,10 +139,10 @@ class DigitalTester {
   std::vector<double> output_volts(std::span<const std::int64_t> filter_out) const;
 
   /// Digital (post-decimation) sample rate of the path under test.
-  double digital_fs() const { return config_.digital_fs(); }
+  double digital_fs() const { return graph_.digital_fs(); }
 
  private:
-  path::PathConfig config_;
+  path::PathGraphConfig graph_;
   PathAttrModel model_;
   digital::FirCircuit fir_;
   digital::Netlist expanded_;

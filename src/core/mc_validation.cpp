@@ -12,7 +12,7 @@
 
 namespace msts::core {
 
-McValidation validate_iip3_study_mc(const path::PathConfig& config,
+McValidation validate_iip3_study_mc(const path::PathGraphConfig& graph,
                                     const ParameterStudy& study, int trials,
                                     stats::Rng& rng, bool adaptive,
                                     const path::MeasureOptions& opts, int threads) {
@@ -23,7 +23,10 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
 
   // The test program is synthesized once from the *nominal* description —
   // the device under test never informs its own test.
-  const Translator translator(config);
+  const Translator translator(graph);
+  // Each trial sets the iip3_dbm of the graph's one mixer block.
+  graph.only_block(path::BlockKind::kMixer);
+  const std::size_t mixer = *graph.index_of(path::BlockKind::kMixer);
   const auto threshold = study.row("Tol").threshold;
 
   McValidation v;
@@ -52,10 +55,9 @@ McValidation validate_iip3_study_mc(const path::PathConfig& config,
     stats::Rng trial_rng = streams[t];
     const double true_iip3 = trial_rng.uniform(lo, hi);
 
-    path::PathConfig instance_cfg = config;
-    instance_cfg.mixer.iip3_dbm = stats::Uncertain::exact(true_iip3);
-    const auto device =
-        path::PathGraph::sampled(path::graph_from_config(instance_cfg), trial_rng);
+    path::PathGraphConfig instance = graph;
+    instance.blocks[mixer].mixer.iip3_dbm = stats::Uncertain::exact(true_iip3);
+    const auto device = path::PathGraph::sampled(instance, trial_rng);
 
     const double measured =
         translator.measure_mixer_iip3_dbm(device, trial_rng, adaptive, opts);

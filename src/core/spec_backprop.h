@@ -48,8 +48,11 @@ struct SpecBackpropResult {
   std::string note;
 };
 
-/// Derives per-block budgets for the reference-path topology.
-SpecBackpropResult backpropagate_spec(const path::PathConfig& config,
+/// Derives per-block budgets for a path with one amp, one mixer, one LPF
+/// and one ADC block (the reference topology, or any arrangement of them);
+/// a graph with none or several of one of these is rejected with a message
+/// naming the kind.
+SpecBackpropResult backpropagate_spec(const path::PathGraphConfig& graph,
                                       const SystemRequirements& req);
 
 /// Renders the result as text.

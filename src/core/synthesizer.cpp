@@ -9,10 +9,6 @@
 
 namespace msts::core {
 
-TestSynthesizer::TestSynthesizer(const path::PathConfig& config, bool adaptive,
-                                 double spec_sigmas)
-    : TestSynthesizer(path::graph_from_config(config), adaptive, spec_sigmas) {}
-
 TestSynthesizer::TestSynthesizer(const path::PathGraphConfig& graph, bool adaptive,
                                  double spec_sigmas)
     : graph_(graph),

@@ -39,9 +39,14 @@ double margin_of(const stats::SpecLimits& limits, double x) {
 
 }  // namespace
 
-TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
+TestProgram::TestProgram(const path::PathGraphConfig& graph, GuardBandPolicy policy,
                          path::MeasureOptions opts)
-    : translator_(config), policy_(policy), opts_(opts) {
+    : translator_(graph), policy_(policy), opts_(opts) {
+  const analog::AmpParams& amp = graph.only_block(path::BlockKind::kAmp).amp;
+  const path::BlockConfig& mixer = graph.only_block(path::BlockKind::kMixer);
+  const analog::LpfParams& lpf = graph.only_block(path::BlockKind::kLpf).lpf;
+  const analog::AdcParams& adc = graph.only_block(path::BlockKind::kAdc).adc;
+
   // Specs: gain windows from the block nominals; parameter limits at
   // nominal - 2 sigma (the synthesizer's convention).
   auto two_sigma_low = [](const stats::Uncertain& p) {
@@ -53,11 +58,11 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "path_gain";
     s.unit = "dB";
-    const double nominal = config.amp.gain_db.nominal +
-                           config.mixer.conv_gain_db.nominal +
-                           config.lpf.passband_gain_db.nominal;
-    const double tol = config.amp.gain_db.wc + config.mixer.conv_gain_db.wc +
-                       config.lpf.passband_gain_db.wc;
+    const double nominal = amp.gain_db.nominal +
+                           mixer.mixer.conv_gain_db.nominal +
+                           lpf.passband_gain_db.nominal;
+    const double tol = amp.gain_db.wc + mixer.mixer.conv_gain_db.wc +
+                       lpf.passband_gain_db.wc;
     s.spec = stats::SpecLimits::window(nominal - tol, nominal + tol);
     s.error_budget_wc = translator_.analyze_path_gain().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
@@ -75,7 +80,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "lo_freq_error";
     s.unit = "ppm";
-    const double tol = config.lo.freq_error_ppm.wc;
+    const double tol = mixer.lo.freq_error_ppm.wc;
     s.spec = stats::SpecLimits::window(-tol, tol);
     s.error_budget_wc = translator_.analyze_lo_freq_error().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
@@ -93,7 +98,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "output_dc";
     s.unit = "V";
-    const double tol = config.adc.offset_error_v.wc;
+    const double tol = adc.offset_error_v.wc;
     s.spec = stats::SpecLimits::window(-tol, tol);
     s.error_budget_wc = translator_.analyze_adc_offset().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
@@ -108,7 +113,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "mixer_iip3";
     s.unit = "dBm";
-    s.spec = two_sigma_low(config.mixer.iip3_dbm);
+    s.spec = two_sigma_low(mixer.mixer.iip3_dbm);
     s.error_budget_wc = translator_.analyze_mixer_iip3(true).error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
     s.measure = [this](const path::PathGraph& p, stats::Rng& rng,
@@ -127,7 +132,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "mixer_p1db";
     s.unit = "dBm";
-    s.spec = two_sigma_low(config.mixer.p1db_in_dbm);
+    s.spec = two_sigma_low(mixer.mixer.p1db_in_dbm);
     s.error_budget_wc = translator_.analyze_mixer_p1db().error.wc;
     s.limits = apply_policy(s.spec, s.error_budget_wc, policy_);
     s.measure = [this](const path::PathGraph& p, stats::Rng& rng, TestContext&) {
@@ -141,7 +146,7 @@ TestProgram::TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
     TestStep s;
     s.name = "lpf_cutoff";
     s.unit = "Hz";
-    const auto& p = config.lpf.cutoff_hz;
+    const auto& p = lpf.cutoff_hz;
     s.spec = stats::SpecLimits::window(p.nominal - 2.0 * p.sigma,
                                        p.nominal + 2.0 * p.sigma);
     s.error_budget_wc = translator_.analyze_lpf_cutoff().error.wc;

@@ -65,8 +65,10 @@ struct DeviceResult {
 /// An ordered, guard-banded system-level test program.
 class TestProgram {
  public:
-  /// Synthesizes the program for a path description.
-  TestProgram(const path::PathConfig& config, GuardBandPolicy policy,
+  /// Synthesizes the program for a path graph. The spec windows read its
+  /// amp, mixer (with LO), LPF and ADC blocks; a graph with none or several
+  /// of one of these is rejected with a message naming the kind.
+  TestProgram(const path::PathGraphConfig& graph, GuardBandPolicy policy,
               path::MeasureOptions opts = {});
 
   /// Runs all steps against a device. With `stop_on_fail` the program exits

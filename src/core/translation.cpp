@@ -29,15 +29,10 @@ Uncertain measurement_floor_db() { return Uncertain(0.0, 0.05, 0.02); }
 
 }  // namespace
 
-Translator::Translator(const path::PathConfig& config)
-    : Translator(path::graph_from_config(config)) {}
-
 Translator::Translator(const path::PathGraphConfig& graph)
     : graph_(graph),
       model_(graph_),
-      amp_idx_(graph_.index_of(path::BlockKind::kAmp)),
-      mixer_idx_(graph_.index_of(path::BlockKind::kMixer)),
-      lpf_idx_(graph_.index_of(path::BlockKind::kLpf)) {}
+      mixer_idx_(graph_.index_of(path::BlockKind::kMixer)) {}
 
 double Translator::pre_mixer_gain_db() const {
   MSTS_REQUIRE(mixer_idx_.has_value(), "analysis needs a mixer block");
@@ -55,19 +50,17 @@ double Translator::lo_freq() const {
 }
 
 double Translator::test_if_freq(const path::MeasureOptions& opts) const {
-  MSTS_REQUIRE(lpf_idx_.has_value(), "stimulus placement needs an LPF block");
   return dsp::coherent_frequency(
       graph_.digital_fs(), opts.digital_record,
-      0.4 * graph_.blocks[*lpf_idx_].lpf.cutoff_hz.nominal);
+      0.4 * graph_.required_block(path::BlockKind::kLpf).lpf.cutoff_hz.nominal);
 }
 
 std::pair<double, double> Translator::test_two_tone(
     const path::MeasureOptions& opts) const {
-  MSTS_REQUIRE(lpf_idx_.has_value(), "stimulus placement needs an LPF block");
   // Both tones in the LPF and FIR pass-band, placed so their IM3 products
   // stay in-band and off the fundamental bins.
   const double fs_d = graph_.digital_fs();
-  const double cutoff = graph_.blocks[*lpf_idx_].lpf.cutoff_hz.nominal;
+  const double cutoff = graph_.required_block(path::BlockKind::kLpf).lpf.cutoff_hz.nominal;
   const auto tones = dsp::place_test_tones(fs_d, opts.digital_record,
                                            0.25 * cutoff, 0.55 * cutoff, 2);
   return {tones[0], tones[1]};
@@ -129,9 +122,8 @@ TranslationAnalysis Translator::analyze_mixer_p1db() const {
 TranslationAnalysis Translator::analyze_lpf_cutoff() const {
   TranslationAnalysis a;
   a.method = TranslationMethod::kPropagation;
-  MSTS_REQUIRE(lpf_idx_.has_value(), "cutoff analysis needs an LPF block");
   // The -3 dB crossing moves by (flatness error) / (response slope at fc).
-  const analog::LpfParams& lpf = graph_.blocks[*lpf_idx_].lpf;
+  const analog::LpfParams& lpf = graph_.required_block(path::BlockKind::kLpf).lpf;
   const analog::LowPassFilter nominal(lpf);
   const double fc = lpf.cutoff_hz.nominal;
   const double fs = graph_.analog_fs;
@@ -195,11 +187,10 @@ TranslationAnalysis Translator::analyze_amp_offset() const {
   // A multiplying mixer up-converts DC, so an amp offset cannot reach the
   // PO: inject a large probe offset and confirm the propagated output DC is
   // insensitive to it (it carries only the ADC offset).
-  MSTS_REQUIRE(amp_idx_.has_value(), "amp analysis needs an amplifier block");
+  const analog::AmpParams& amp = graph_.required_block(path::BlockKind::kAmp).amp;
   SignalAttributes probe_zero = make_stimulus(graph_.analog_fs, {});
   SignalAttributes probe_big = probe_zero;
-  probe_big.dc =
-      Uncertain::exact(graph_.blocks[*amp_idx_].amp.dc_offset_v.upper() + 10e-3);
+  probe_big.dc = Uncertain::exact(amp.dc_offset_v.upper() + 10e-3);
   const double dc_zero = model_.forward(probe_zero).dc.nominal;
   const double dc_big = model_.forward(probe_big).dc.nominal;
   MSTS_REQUIRE(std::abs(dc_big - dc_zero) < 1e-9,
@@ -215,7 +206,7 @@ TranslationAnalysis Translator::analyze_amp_hd3() const {
   TranslationAnalysis a;
   // HD3 of the RF tone sits at 3*f_rf; after down-conversion it is at
   // |3 f_rf - f_lo| ≈ 2 f_lo, far outside the LPF. Verify via propagation.
-  MSTS_REQUIRE(amp_idx_.has_value(), "amp analysis needs an amplifier block");
+  const analog::AmpParams& amp = graph_.required_block(path::BlockKind::kAmp).amp;
   SignalAttributes probe = make_stimulus(
       graph_.analog_fs,
       {ToneAttr{Uncertain::exact(lo_freq() + test_if_freq()),
@@ -232,7 +223,6 @@ TranslationAnalysis Translator::analyze_amp_hd3() const {
     a.formula = "amp HD3 falls outside the LPF after down-conversion: "
                 "untranslatable; covered indirectly by the path IIP3 test";
   } else {
-    const analog::AmpParams& amp = graph_.blocks[*amp_idx_].amp;
     a.method = TranslationMethod::kPropagation;
     a.error = Uncertain(0.0, amp.gain_db.wc, amp.gain_db.sigma);
     a.formula = "HD3 measured at PO corrected by G_path";

@@ -56,10 +56,7 @@ struct TranslationAnalysis {
 /// analyses key off the first block of the matching kind).
 class Translator {
  public:
-  explicit Translator(const path::PathConfig& config);
   explicit Translator(const path::PathGraphConfig& graph);
-
-  const PathAttrModel& model() const { return model_; }
 
   // ---- static error budgets -------------------------------------------
 
@@ -148,11 +145,8 @@ class Translator {
 
   path::PathGraphConfig graph_;
   PathAttrModel model_;
-  /// First block of each kind the analyses reason about (graph index; the
-  /// canonical chain has mixer at PathAttrModel::kMixer).
-  std::optional<std::size_t> amp_idx_;
+  /// The first mixer block (graph index): gains split around it.
   std::optional<std::size_t> mixer_idx_;
-  std::optional<std::size_t> lpf_idx_;
 };
 
 }  // namespace msts::core

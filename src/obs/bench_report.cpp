@@ -63,9 +63,8 @@ BenchReport::BenchReport(std::string name)
       start_(std::chrono::steady_clock::now()) {
   MSTS_REQUIRE(!name_.empty(), "bench report needs a name");
   // Every report carries the active SIMD backend so per-ISA baselines can be
-  // matched (bench_compare) and cross-host bench_trend series segmented.
-  // "simd."-prefixed scalars are informational: the compare/trend tools skip
-  // them when hunting regressions.
+  // matched (bench_compare). "simd."-prefixed scalars are informational:
+  // bench_compare skips them when hunting regressions.
   const simd::Kernels& k = simd::kernels();
   add_label("simd.isa", simd::isa_name(k.isa));
   add_scalar("simd.f64_width", static_cast<std::int64_t>(k.f64_width));

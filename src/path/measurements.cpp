@@ -17,18 +17,9 @@ std::size_t analog_record(const PathGraphConfig& g, const MeasureOptions& opts) 
   return opts.digital_record * g.adc_decimation();
 }
 
-// The config of the first block of `kind`; throws naming the block when the
-// graph has none.
-const BlockConfig& required_block(const PathGraph& path, BlockKind kind) {
-  const auto i = path.config().index_of(kind);
-  MSTS_REQUIRE(i.has_value(), "path graph has no " + to_string(kind) +
-                                  " block, which this measurement needs");
-  return path.config().blocks[*i];
-}
-
 // Programmed LO frequency: RF stimuli sit at this plus the IF.
 double nominal_lo_hz(const PathGraph& path) {
-  return required_block(path, BlockKind::kMixer).lo.freq_hz;
+  return path.config().required_block(BlockKind::kMixer).lo.freq_hz;
 }
 
 // Per-thread scratch for the measurement loops below. Sweeps (P1dB, cutoff)
@@ -66,11 +57,6 @@ void make_rf(const PathGraph& path, std::span<const double> if_freqs,
 }
 
 }  // namespace
-
-double coherent_if_freq(const PathConfig& config, const MeasureOptions& opts,
-                        double target_if) {
-  return dsp::coherent_frequency(config.digital_fs(), opts.digital_record, target_if);
-}
 
 double coherent_if_freq(const PathGraphConfig& graph, const MeasureOptions& opts,
                         double target_if) {
@@ -161,7 +147,7 @@ double measure_path_cutoff_hz(const PathGraph& path, double amp_vpeak,
                               stats::Rng& noise_rng, const MeasureOptions& opts) {
   obs::Span span("path.measure_path_cutoff_hz");
   const PathGraphConfig& c = path.config();
-  const double fc_nominal = required_block(path, BlockKind::kLpf).lpf.cutoff_hz.nominal;
+  const double fc_nominal = c.required_block(BlockKind::kLpf).lpf.cutoff_hz.nominal;
   // Reference gain deep in the pass-band.
   const double f_ref = coherent_if_freq(c, opts, 100e3);
   const double g_ref = measure_path_gain_db(path, f_ref, amp_vpeak, noise_rng, opts);

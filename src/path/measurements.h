@@ -15,7 +15,6 @@
 
 #include "dsp/metrics.h"
 #include "dsp/spectrum.h"
-#include "path/path_config.h"
 #include "path/path_graph.h"
 #include "stats/rng.h"
 
@@ -28,8 +27,6 @@ struct MeasureOptions {
 };
 
 /// Places IF tone frequencies onto coherent (bin-centred) digital bins.
-double coherent_if_freq(const PathConfig& config, const MeasureOptions& opts,
-                        double target_if);
 double coherent_if_freq(const PathGraphConfig& graph, const MeasureOptions& opts,
                         double target_if);
 

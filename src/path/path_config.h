@@ -1,8 +1,9 @@
 // Flat configuration of the canonical receiver path (the paper's Fig. 6
-// chain). This is the ergonomic description clients hand to
-// TestSynthesizer, DigitalTester and the service; the composable-graph
-// layer (path/path_graph.h) derives its canonical PathGraphConfig from it
-// via graph_from_config(), and both describe the exact same path.
+// chain), kept only to construct that path. Every consumer takes a
+// PathGraphConfig (path/path_graph.h); a PathConfig converts into one
+// implicitly — amp, mixer(+LO), LPF, ADC, FIR — through the one conversion
+// constructor PathGraphConfig(const PathConfig&), so flat and canonical
+// graph descriptions are the same path by construction.
 #pragma once
 
 #include <cstddef>
@@ -44,24 +45,5 @@ struct PathConfig {
 /// The communication-path configuration used throughout the experiments
 /// (values recorded in DESIGN.md section 5).
 PathConfig reference_path_config();
-
-/// Construction-time validation shared by every PathConfig consumer
-/// (PathAttrModel, graph_from_config and everything built on it). Throws
-/// via MSTS_REQUIRE on the first violated rule, naming the field:
-///   * analog_fs must be a positive, finite rate;
-///   * every amp, mixer, LO, LPF and ADC Uncertain field has a finite
-///     nominal;
-///   * lo.freq_hz finite and in (0, analog_fs / 2);
-///   * lo.amplitude finite and > 0;
-///   * adc_decimation >= 1;
-///   * adc.bits in [4, 20] (the ADC model's range);
-///   * adc.vref finite and > 0;
-///   * lpf.order even and in [2, 16] (at most 8 biquads);
-///   * lpf.cutoff_hz finite and in (0, analog_fs / 2);
-///   * lpf.clock_hz finite and > 0;
-///   * fir_taps odd and >= 3 (type-I linear-phase design);
-///   * fir_cutoff_norm in (0, 0.5);
-///   * fir_coeff_frac_bits in [1, 30] (the int32 coefficient budget).
-void validate(const PathConfig& config);
 
 }  // namespace msts::path

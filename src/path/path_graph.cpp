@@ -64,6 +64,16 @@ BlockConfig BlockConfig::make_fir(std::size_t taps, double cutoff_norm,
   return b;
 }
 
+PathGraphConfig::PathGraphConfig(const PathConfig& config)
+    : analog_fs(config.analog_fs),
+      blocks{BlockConfig::make_amp(config.amp),
+             BlockConfig::make_mixer(config.mixer, config.lo),
+             BlockConfig::make_lpf(config.lpf),
+             BlockConfig::make_adc(config.adc, config.adc_decimation),
+             BlockConfig::make_fir(config.fir_taps, config.fir_cutoff_norm,
+                                   config.fir_coeff_frac_bits)},
+      analog_flatness_db(config.analog_flatness_db) {}
+
 std::optional<std::size_t> PathGraphConfig::index_of(BlockKind kind) const {
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     if (blocks[i].kind == kind) return i;
@@ -79,21 +89,41 @@ std::size_t PathGraphConfig::count(BlockKind kind) const {
   return n;
 }
 
+const BlockConfig& PathGraphConfig::required_block(BlockKind kind) const {
+  const auto i = index_of(kind);
+  MSTS_REQUIRE(i.has_value(), "path graph has no " + to_string(kind) + " block");
+  return blocks[*i];
+}
+
+const BlockConfig& PathGraphConfig::only_block(BlockKind kind) const {
+  MSTS_REQUIRE(count(kind) <= 1, "path graph has several " + to_string(kind) +
+                                     " blocks; this consumer reads exactly one");
+  return required_block(kind);
+}
+
 std::size_t PathGraphConfig::adc_decimation() const {
-  const auto adc = index_of(BlockKind::kAdc);
-  MSTS_REQUIRE(adc.has_value(), "path graph needs an ADC block");
-  return blocks[*adc].adc_decimation;
+  return required_block(BlockKind::kAdc).adc_decimation;
 }
 
 namespace {
 
-// Per-block parameter rules shared by validate(PathConfig) and
-// validate(PathGraphConfig). Kept here so the two descriptions can never
-// drift apart.
-// A non-finite nominal would otherwise surface layers down (the attribute
-// model's dB conversions), under a message that names no field.
-void require_finite_nominal(const stats::Uncertain& u, const char* field) {
+// Per-block parameter rules of validate(PathGraphConfig), one helper per
+// block kind.
+// A non-finite value or a negative spread would otherwise surface layers
+// down (the attribute model's dB conversions, the yield integrals), under a
+// message that names no field.
+void require_finite(const stats::Uncertain& u, const char* field) {
   MSTS_REQUIRE(std::isfinite(u.nominal), std::string(field) + " must be finite");
+  MSTS_REQUIRE(std::isfinite(u.wc) && u.wc >= 0.0 && std::isfinite(u.sigma) &&
+                   u.sigma >= 0.0,
+               std::string(field) + " tolerance (wc, sigma) must be finite and >= 0");
+}
+
+// A noise figure below 0 dB is a noise factor below 1: a block that removes
+// noise, which the Friis cascade cannot take.
+void require_noise_figure(const stats::Uncertain& nf, const char* field) {
+  require_finite(nf, field);
+  MSTS_REQUIRE(nf.nominal >= 0.0, std::string(field) + " must be >= 0 dB");
 }
 
 // The ADC model covers 4..20 bits; 20 also keeps the digital filter's input
@@ -103,19 +133,21 @@ void validate_adc_block(const analog::AdcParams& adc, std::size_t decimation) {
   MSTS_REQUIRE(adc.bits >= 4 && adc.bits <= 20, "adc.bits must be in [4, 20]");
   MSTS_REQUIRE(std::isfinite(adc.vref) && adc.vref > 0.0,
                "adc.vref must be finite and > 0");
-  require_finite_nominal(adc.offset_error_v, "adc.offset_error_v");
-  require_finite_nominal(adc.gain_error, "adc.gain_error");
-  require_finite_nominal(adc.inl_peak_lsb, "adc.inl_peak_lsb");
-  require_finite_nominal(adc.dnl_sigma_lsb, "adc.dnl_sigma_lsb");
+  require_finite(adc.offset_error_v, "adc.offset_error_v");
+  require_finite(adc.gain_error, "adc.gain_error");
+  MSTS_REQUIRE(adc.gain_error.nominal > -1.0,
+               "adc.gain_error must be > -1 (a positive gain factor 1 + gain_error)");
+  require_finite(adc.inl_peak_lsb, "adc.inl_peak_lsb");
+  require_finite(adc.dnl_sigma_lsb, "adc.dnl_sigma_lsb");
 }
 
 void validate_amp_block(const analog::AmpParams& amp) {
-  require_finite_nominal(amp.gain_db, "amp.gain_db");
-  require_finite_nominal(amp.iip3_dbm, "amp.iip3_dbm");
-  require_finite_nominal(amp.iip2_dbm, "amp.iip2_dbm");
-  require_finite_nominal(amp.p1db_in_dbm, "amp.p1db_in_dbm");
-  require_finite_nominal(amp.nf_db, "amp.nf_db");
-  require_finite_nominal(amp.dc_offset_v, "amp.dc_offset_v");
+  require_finite(amp.gain_db, "amp.gain_db");
+  require_finite(amp.iip3_dbm, "amp.iip3_dbm");
+  require_finite(amp.iip2_dbm, "amp.iip2_dbm");
+  require_finite(amp.p1db_in_dbm, "amp.p1db_in_dbm");
+  require_noise_figure(amp.nf_db, "amp.nf_db");
+  require_finite(amp.dc_offset_v, "amp.dc_offset_v");
 }
 
 // The LO waveform is generated at the analog simulation rate, so it must sit
@@ -126,17 +158,17 @@ void validate_lo_block(const analog::LoParams& lo, double analog_fs) {
                "lo.freq_hz must be finite and in (0, analog_fs / 2)");
   MSTS_REQUIRE(std::isfinite(lo.amplitude) && lo.amplitude > 0.0,
                "lo.amplitude must be finite and > 0");
-  require_finite_nominal(lo.freq_error_ppm, "lo.freq_error_ppm");
-  require_finite_nominal(lo.phase_noise_rad, "lo.phase_noise_rad");
+  require_finite(lo.freq_error_ppm, "lo.freq_error_ppm");
+  require_finite(lo.phase_noise_rad, "lo.phase_noise_rad");
 }
 
 void validate_mixer_block(const analog::MixerParams& mixer,
                           const analog::LoParams& lo, double analog_fs) {
-  require_finite_nominal(mixer.conv_gain_db, "mixer.conv_gain_db");
-  require_finite_nominal(mixer.iip3_dbm, "mixer.iip3_dbm");
-  require_finite_nominal(mixer.p1db_in_dbm, "mixer.p1db_in_dbm");
-  require_finite_nominal(mixer.lo_isolation_db, "mixer.lo_isolation_db");
-  require_finite_nominal(mixer.nf_db, "mixer.nf_db");
+  require_finite(mixer.conv_gain_db, "mixer.conv_gain_db");
+  require_finite(mixer.iip3_dbm, "mixer.iip3_dbm");
+  require_finite(mixer.p1db_in_dbm, "mixer.p1db_in_dbm");
+  require_finite(mixer.lo_isolation_db, "mixer.lo_isolation_db");
+  require_noise_figure(mixer.nf_db, "mixer.nf_db");
   validate_lo_block(lo, analog_fs);
 }
 
@@ -147,10 +179,11 @@ void validate_lpf_block(const analog::LpfParams& lpf, double analog_fs) {
   MSTS_REQUIRE(std::isfinite(lpf.cutoff_hz.nominal) && lpf.cutoff_hz.nominal > 0.0 &&
                    lpf.cutoff_hz.nominal < analog_fs / 2.0,
                "lpf.cutoff_hz must be finite and in (0, analog_fs / 2)");
-  require_finite_nominal(lpf.passband_gain_db, "lpf.passband_gain_db");
+  require_finite(lpf.cutoff_hz, "lpf.cutoff_hz");
+  require_finite(lpf.passband_gain_db, "lpf.passband_gain_db");
   MSTS_REQUIRE(std::isfinite(lpf.clock_hz) && lpf.clock_hz > 0.0,
                "lpf.clock_hz must be finite and > 0");
-  require_finite_nominal(lpf.clock_spur_v, "lpf.clock_spur_v");
+  require_finite(lpf.clock_spur_v, "lpf.clock_spur_v");
 }
 
 void validate_fir_block(std::size_t taps, double cutoff_norm, int frac_bits) {
@@ -170,22 +203,10 @@ std::vector<std::int32_t> design_fir(std::size_t taps, double cutoff_norm,
 
 }  // namespace
 
-void validate(const PathConfig& config) {
-  MSTS_REQUIRE(std::isfinite(config.analog_fs) && config.analog_fs > 0.0,
-               "analog_fs must be a positive, finite rate");
-  require_finite_nominal(config.analog_flatness_db, "analog_flatness_db");
-  validate_amp_block(config.amp);
-  validate_mixer_block(config.mixer, config.lo, config.analog_fs);
-  validate_adc_block(config.adc, config.adc_decimation);
-  validate_lpf_block(config.lpf, config.analog_fs);
-  validate_fir_block(config.fir_taps, config.fir_cutoff_norm,
-                     config.fir_coeff_frac_bits);
-}
-
 void validate(const PathGraphConfig& graph) {
   MSTS_REQUIRE(std::isfinite(graph.analog_fs) && graph.analog_fs > 0.0,
                "analog_fs must be a positive, finite rate");
-  require_finite_nominal(graph.analog_flatness_db, "analog_flatness_db");
+  require_finite(graph.analog_flatness_db, "analog_flatness_db");
   MSTS_REQUIRE(!graph.blocks.empty(), "path graph needs at least one block");
   MSTS_REQUIRE(graph.count(BlockKind::kAdc) == 1,
                "path graph needs exactly one ADC block");
@@ -259,20 +280,6 @@ PathConfig reference_path_config() {
   c.fir_cutoff_norm = 0.3;
   c.fir_coeff_frac_bits = 10;
   return c;
-}
-
-PathGraphConfig graph_from_config(const PathConfig& config) {
-  validate(config);
-  PathGraphConfig g;
-  g.analog_fs = config.analog_fs;
-  g.analog_flatness_db = config.analog_flatness_db;
-  g.blocks.push_back(BlockConfig::make_amp(config.amp));
-  g.blocks.push_back(BlockConfig::make_mixer(config.mixer, config.lo));
-  g.blocks.push_back(BlockConfig::make_lpf(config.lpf));
-  g.blocks.push_back(BlockConfig::make_adc(config.adc, config.adc_decimation));
-  g.blocks.push_back(BlockConfig::make_fir(config.fir_taps, config.fir_cutoff_norm,
-                                           config.fir_coeff_frac_bits));
-  return g;
 }
 
 // ---------------------------------------------------------------------------

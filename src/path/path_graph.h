@@ -6,7 +6,8 @@
 // path structure itself data: any arrangement of amplifier / mixer(+LO) /
 // low-pass-filter blocks in front of exactly one ADC, optionally followed by
 // one digital FIR block. The paper's Fig. 6 receiver is just one instance —
-// graph_from_config(PathConfig) produces it. PathGraph is the only path type
+// a flat PathConfig converts into it. PathGraphConfig is the one path
+// description every consumer takes; PathGraph is the only path type
 // that runs, samples and is measured; the graph walk is pinned against an
 // explicit block-by-block Fig. 6 composition by a differential pair in
 // src/check.
@@ -75,10 +76,22 @@ struct PathGraphConfig {
   std::vector<BlockConfig> blocks;
   stats::Uncertain analog_flatness_db = stats::Uncertain::from_tolerance(0.0, 0.3);
 
+  PathGraphConfig() = default;
+  /// The canonical Fig. 6 graph of a flat config: amp → mixer → lpf → adc →
+  /// fir. Deliberately implicit — the one place that knows flat → graph, so
+  /// every consumer taking a PathGraphConfig also accepts a PathConfig. A
+  /// plain copy: it does not validate (the consumers do).
+  PathGraphConfig(const PathConfig& config);
+
   /// Index of the first block of `kind` (nullopt when absent).
   std::optional<std::size_t> index_of(BlockKind kind) const;
   /// Number of blocks of `kind`.
   std::size_t count(BlockKind kind) const;
+  /// The first block of `kind`; throws naming the kind when there is none.
+  const BlockConfig& required_block(BlockKind kind) const;
+  /// The one block of `kind`, for a consumer whose formulas read one block
+  /// per kind; throws naming the kind when the graph has none or several.
+  const BlockConfig& only_block(BlockKind kind) const;
   /// Decimation of the (single) ADC block; requires a valid graph.
   std::size_t adc_decimation() const;
   double digital_fs() const {
@@ -86,15 +99,29 @@ struct PathGraphConfig {
   }
 };
 
-/// Structural + per-block validation. Throws via MSTS_REQUIRE on the first
-/// violation: positive finite analog_fs, exactly one ADC, analog blocks only
-/// in front of it, at most one FIR and only behind it, plus the per-block
-/// rules of validate(PathConfig) (path/path_config.h).
+/// Construction-time validation shared by every consumer (a PathConfig
+/// converts and is checked as its canonical graph). Throws via MSTS_REQUIRE
+/// on the first violated rule, naming the field:
+///   * analog_fs must be a positive, finite rate;
+///   * analog_flatness_db has a finite nominal;
+///   * at least one block, exactly one ADC, analog blocks only in front of
+///     it, at most one FIR and only behind it;
+///   * every Uncertain field has a finite nominal and a finite, non-negative
+///     wc and sigma;
+///   * amp.nf_db and mixer.nf_db >= 0 dB (a noise factor of at least 1);
+///   * lo.freq_hz finite and in (0, analog_fs / 2);
+///   * lo.amplitude finite and > 0;
+///   * lpf.order even and in [2, 16] (at most 8 biquads);
+///   * lpf.cutoff_hz finite and in (0, analog_fs / 2);
+///   * lpf.clock_hz finite and > 0;
+///   * adc_decimation >= 1;
+///   * adc.bits in [4, 20] (the ADC model's range);
+///   * adc.vref finite and > 0;
+///   * adc.gain_error > -1 (a positive gain factor);
+///   * fir_taps odd and >= 3 (type-I linear-phase design);
+///   * fir_cutoff_norm in (0, 0.5);
+///   * fir_coeff_frac_bits in [1, 30] (the int32 coefficient budget).
 void validate(const PathGraphConfig& graph);
-
-/// The canonical graph of a flat PathConfig: amp → mixer → lpf → adc → fir.
-/// Validates `config` first (see path/path_config.h).
-PathGraphConfig graph_from_config(const PathConfig& config);
 
 struct GraphWorkspace;
 

@@ -3,10 +3,10 @@
 namespace msts::path {
 
 ReceiverPath::ReceiverPath(const PathConfig& config)
-    : PathGraph(graph_from_config(config)) {}
+    : PathGraph(config) {}
 
 ReceiverPath ReceiverPath::sampled(const PathConfig& config, stats::Rng& rng) {
-  return ReceiverPath(PathGraph::sampled(graph_from_config(config), rng));
+  return ReceiverPath(PathGraph::sampled(config, rng));
 }
 
 }  // namespace msts::path

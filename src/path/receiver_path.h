@@ -1,8 +1,8 @@
 // The experimental signal path of the paper (Fig. 6):
 //   Amp -> Mixer (with LO) -> switched-cap LPF -> ADC -> digital FIR filter.
 //
-// ReceiverPath is the canonical PathGraph built by graph_from_config(), with
-// no state of its own. It adds only the flat-config front door and named
+// ReceiverPath is the canonical PathGraph of a flat PathConfig, with no
+// state of its own. It adds only the flat-config front door and named
 // accessors for the Fig. 6 blocks; running, sampling and every measurement
 // go through PathGraph (path/path_graph.h, path/measurements.h). New code
 // uses PathGraph directly.

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "base/require.h"
 #include "core/translation.h"
 
 namespace msts::service {
@@ -46,7 +47,7 @@ void put_spec(std::string& out, const stats::SpecLimits& s) {
   put_double(out, s.hi);
 }
 
-// One block of the effective graph: the kind tag first (so reordered blocks
+// One block of the request graph: the kind tag first (so reordered blocks
 // always produce different bytes), then exactly the fields that kind uses.
 void put_block(std::string& out, const path::BlockConfig& b) {
   put_i64(out, static_cast<std::int64_t>(b.kind));
@@ -130,11 +131,12 @@ std::uint64_t fnv1a(std::string_view bytes) {
   return h;
 }
 
-}  // namespace
-
-path::PathGraphConfig effective_graph(const SynthesisRequest& request) {
-  return request.graph ? *request.graph : path::graph_from_config(request.config);
+const path::PathGraphConfig& request_graph(const SynthesisRequest& request) {
+  MSTS_REQUIRE(request.graph.has_value(), "SynthesisRequest::graph must be set");
+  return *request.graph;
 }
+
+}  // namespace
 
 MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
                                         const path::MeasureOptions& opts) {
@@ -151,13 +153,8 @@ MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
   return setup;
 }
 
-MeasurementSetup make_measurement_setup(const path::PathConfig& config,
-                                        const path::MeasureOptions& opts) {
-  return make_measurement_setup(path::graph_from_config(config), opts);
-}
-
 SynthesisResult synthesize_direct(const SynthesisRequest& request) {
-  const path::PathGraphConfig graph = effective_graph(request);
+  const path::PathGraphConfig& graph = request_graph(request);
   const core::TestSynthesizer synth(graph, request.options.adaptive,
                                     request.options.spec_sigmas);
   SynthesisResult result;
@@ -169,7 +166,7 @@ SynthesisResult synthesize_direct(const SynthesisRequest& request) {
 std::string content_key(const SynthesisRequest& request) {
   std::string key;
   key.reserve(768);
-  put_graph(key, effective_graph(request));
+  put_graph(key, request_graph(request));
   put_bool(key, request.options.adaptive);
   put_double(key, request.options.spec_sigmas);
   put_u64(key, request.options.measure.digital_record);

@@ -1,8 +1,9 @@
 // Synthesis-as-a-service: request and result types.
 //
 // A SynthesisRequest is everything a client supplies to have a test plan
-// synthesized for one path: the full PathConfig (nominals + tolerances, the
-// "spec set" of the paper's Table 1 flow) plus the synthesis options. The
+// synthesized for one path: its PathGraphConfig (block arrangement, nominals
+// and tolerances — the "spec set" of the paper's Table 1 flow) plus the
+// synthesis options. The
 // served SynthesisResult bundles the PlannedTest vector with the derived
 // measurement setup (record options, coherent stimulus frequencies, drive
 // level) a tester program needs to execute the plan.
@@ -41,22 +42,15 @@ struct RequestOptions {
 
 /// One unit of service work: synthesize the plan for this path.
 ///
-/// A request describes its path either as the flat canonical `config` or as
-/// an explicit `graph` (any validated topology). When `graph` is set it
-/// takes precedence and `config` is ignored; when absent the path is
-/// graph_from_config(config). The content key always serializes the
-/// *effective graph*, so a flat request and its explicit canonical-graph
-/// form share one cache entry — and two topologies that differ only in
-/// block arrangement can never collide.
+/// A request is a graph: any topology, the canonical one included
+/// (`req.graph = reference_path_config()` converts). The content key
+/// serializes the graph, so two topologies that differ only in block
+/// arrangement can never collide. `graph` must be set; an unset graph fails
+/// synthesis and content_key with an invalid_argument naming it.
 struct SynthesisRequest {
-  path::PathConfig config;
   std::optional<path::PathGraphConfig> graph;
   RequestOptions options;
 };
-
-/// The graph the request describes: `graph` if set, else the canonical
-/// graph of `config`.
-path::PathGraphConfig effective_graph(const SynthesisRequest& request);
 
 /// The measurement setup a tester needs to execute the plan: coherent
 /// stimulus placement and drive level derived from the config (shared by
@@ -78,12 +72,7 @@ struct SynthesisResult {
   MeasurementSetup setup;
 };
 
-/// Derives the measurement setup for a config (deterministic).
-MeasurementSetup make_measurement_setup(const path::PathConfig& config,
-                                        const path::MeasureOptions& opts = {});
-
-/// Measurement setup for an arbitrary path graph (the canonical graph
-/// reproduces the flat-config setup exactly).
+/// Derives the measurement setup for a path graph (deterministic).
 MeasurementSetup make_measurement_setup(const path::PathGraphConfig& graph,
                                         const path::MeasureOptions& opts = {});
 

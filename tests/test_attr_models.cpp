@@ -19,6 +19,11 @@ namespace {
 
 using stats::Uncertain;
 
+// Graph position of the first block of `kind` in the model's cascade.
+std::size_t at(const PathAttrModel& model, path::BlockKind kind) {
+  return *model.graph().index_of(kind);
+}
+
 path::PathConfig cfg() { return path::reference_path_config(); }
 
 SignalAttributes rf_probe(double f_rf, double amp) {
@@ -164,9 +169,9 @@ TEST(FirAttrModel, ExactResponseNoAddedNoise) {
 TEST(PathAttrModel, CascadeGainMatchesBlockSum) {
   const PathAttrModel model(cfg());
   const double f_rf = 10.4e6;
-  const auto g_amp_in = model.gain_db_to(PathAttrModel::kAmp, f_rf);
+  const auto g_amp_in = model.gain_db_to(at(model, path::BlockKind::kAmp), f_rf);
   EXPECT_NEAR(g_amp_in.nominal, 0.0, 1e-9);
-  const auto g_mixer_in = model.gain_db_to(PathAttrModel::kMixer, f_rf);
+  const auto g_mixer_in = model.gain_db_to(at(model, path::BlockKind::kMixer), f_rf);
   EXPECT_NEAR(g_mixer_in.nominal, 15.0, 0.01);
   EXPECT_NEAR(g_mixer_in.wc, 1.0, 0.01);
   const auto g_path = model.path_gain_db(f_rf);
@@ -179,21 +184,21 @@ TEST(PathAttrModel, CascadeGainMatchesBlockSum) {
 TEST(PathAttrModel, GainSplitsAdd) {
   const PathAttrModel model(cfg());
   const double f_rf = 10.4e6;
-  const double to = model.gain_db_to(PathAttrModel::kLpf, f_rf).nominal;
-  const double from = model.gain_db_from(PathAttrModel::kLpf, f_rf).nominal;
+  const double to = model.gain_db_to(at(model, path::BlockKind::kLpf), f_rf).nominal;
+  const double from = model.gain_db_from(at(model, path::BlockKind::kLpf), f_rf).nominal;
   EXPECT_NEAR(to + from, model.path_gain_db(f_rf).nominal, 1e-6);
 }
 
 TEST(PathAttrModel, InverseStimulusComputation) {
   const PathAttrModel model(cfg());
   const double f_rf = 10.4e6;
-  const double pi_amp = model.pi_amplitude_for(PathAttrModel::kAdc, f_rf, 0.1);
+  const double pi_amp = model.pi_amplitude_for(at(model, path::BlockKind::kAdc), f_rf, 0.1);
   // Forward-propagating that amplitude must land 0.1 V at the ADC input.
   const auto at_adc = model.forward_upto(
       make_stimulus(cfg().analog_fs, {ToneAttr{Uncertain::exact(f_rf),
                                                Uncertain::exact(pi_amp),
                                                Uncertain::exact(0.0)}}),
-      PathAttrModel::kAdc);
+      at(model, path::BlockKind::kAdc));
   EXPECT_NEAR(at_adc.tones[0].amplitude.nominal, 0.1, 1e-6);
 }
 
@@ -202,7 +207,7 @@ TEST(PathAttrModel, AgreesWithTransientSimulation) {
   // path gain within its own worst-case band (nominal path here).
   const auto c = cfg();
   const PathAttrModel model(c);
-  const path::PathGraph path(path::graph_from_config(c));
+  const path::PathGraph path(c);
   stats::Rng rng(21);
   path::MeasureOptions opts;
   opts.digital_record = 2048;
@@ -220,7 +225,7 @@ TEST(PathAttrModel, PredictsFilterInputNoiseLevel) {
   const auto c = cfg();
   const PathAttrModel model(c);
   // The canonical graph without its FIR: the digital output is the ADC.
-  path::PathGraphConfig adc_out = path::graph_from_config(c);
+  path::PathGraphConfig adc_out = c;
   adc_out.blocks.pop_back();
   const path::PathGraph path(adc_out);
   stats::Rng rng(22);
@@ -231,7 +236,7 @@ TEST(PathAttrModel, PredictsFilterInputNoiseLevel) {
       make_stimulus(c.analog_fs, {ToneAttr{Uncertain::exact(f_rf),
                                            Uncertain::exact(amp_pi),
                                            Uncertain::exact(0.0)}}),
-      PathAttrModel::kAdc + 1);
+      at(model, path::BlockKind::kAdc) + 1);
 
   analog::Signal rf;
   rf.fs = c.analog_fs;

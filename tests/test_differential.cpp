@@ -5,15 +5,22 @@
 // so the sanitizer leg can run exactly this suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/differential.h"
 #include "check/generators.h"
 #include "check/kernel_checks.h"
+#include "core/synthesizer.h"
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "path/path_graph.h"
@@ -232,7 +239,7 @@ TEST(Generators, RandomPathConfigAlwaysConstructible) {
   stats::Rng rng(0xC0FFEE);
   for (int i = 0; i < 50; ++i) {
     const path::PathConfig cfg = check::random_path_config(rng);
-    EXPECT_NO_THROW({ path::PathGraph p(path::graph_from_config(cfg)); })
+    EXPECT_NO_THROW({ path::PathGraph p(cfg); })
         << "draw " << i;
     EXPECT_GE(cfg.digital_fs(), 2.0e6);  // decimation <= 16 at 32 MHz
   }
@@ -393,6 +400,172 @@ TEST(KernelChecks, RunAllCoversEveryPair) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Field-mutation property: every numeric field of a PathGraphConfig and its
+// blocks, set to NaN, +/-inf, 0 and a negative value (frequencies also to
+// analog_fs / 2 and analog_fs), must end either in a std::invalid_argument
+// naming the field or in a TestSynthesizer plan whose numbers are all
+// finite. The differential harness supplies the seeded streams (each case
+// mutates a random_path_config graph drawn from its own stream) and the
+// JSON reproducer; the golden side is the contract itself, zero violations.
+// ---------------------------------------------------------------------------
+
+using Graph = path::PathGraphConfig;
+
+struct FieldMutation {
+  std::string field;  ///< What a rejection must name ("amp.gain_db").
+  std::string part;   ///< The mutated component (".wc", ...; may be empty).
+  double value = 0.0;
+  Graph graph;
+};
+
+struct Mutator {
+  std::string field, part;
+  std::vector<double> values;
+  std::function<void(Graph&, double)> set;
+};
+
+path::BlockConfig& first(Graph& g, path::BlockKind kind) {
+  return g.blocks[*g.index_of(kind)];
+}
+
+std::vector<Mutator> all_mutators(double analog_fs) {
+  const std::vector<double> real = {kNan, kInf, -kInf, 0.0, -1.0};
+  std::vector<double> freq = real;
+  freq.insert(freq.end(), {analog_fs / 2.0, analog_fs});
+  const std::vector<double> signed_int = {0.0, -1.0};
+  const std::vector<double> unsigned_int = {0.0};  // no negative unsigned value
+  std::vector<Mutator> out;
+  auto uncertain = [&](const std::string& field, stats::Uncertain& (*get)(Graph&),
+                       const std::vector<double>& nominal_values) {
+    out.push_back({field, ".nominal", nominal_values,
+                   [get](Graph& g, double v) { get(g).nominal = v; }});
+    out.push_back({field, ".wc", real, [get](Graph& g, double v) { get(g).wc = v; }});
+    out.push_back({field, ".sigma", real, [get](Graph& g, double v) { get(g).sigma = v; }});
+  };
+#define MSTS_UNCERTAIN(name, kind, member, values)                                      \
+  uncertain(name, [](Graph& g) -> stats::Uncertain& {                                  \
+    return first(g, path::BlockKind::kind).member;                                      \
+  }, values)
+#define MSTS_SCALAR(name, kind, member, type, values)                                   \
+  out.push_back({name, "", values, [](Graph& g, double v) {                             \
+    first(g, path::BlockKind::kind).member = static_cast<type>(v);                      \
+  }})
+  uncertain("analog_flatness_db",
+            [](Graph& g) -> stats::Uncertain& { return g.analog_flatness_db; }, real);
+  out.push_back({"analog_fs", "", real, [](Graph& g, double v) { g.analog_fs = v; }});
+  MSTS_UNCERTAIN("amp.gain_db", kAmp, amp.gain_db, real);
+  MSTS_UNCERTAIN("amp.iip3_dbm", kAmp, amp.iip3_dbm, real);
+  MSTS_UNCERTAIN("amp.iip2_dbm", kAmp, amp.iip2_dbm, real);
+  MSTS_UNCERTAIN("amp.p1db_in_dbm", kAmp, amp.p1db_in_dbm, real);
+  MSTS_UNCERTAIN("amp.nf_db", kAmp, amp.nf_db, real);
+  MSTS_UNCERTAIN("amp.dc_offset_v", kAmp, amp.dc_offset_v, real);
+  MSTS_UNCERTAIN("mixer.conv_gain_db", kMixer, mixer.conv_gain_db, real);
+  MSTS_UNCERTAIN("mixer.iip3_dbm", kMixer, mixer.iip3_dbm, real);
+  MSTS_UNCERTAIN("mixer.p1db_in_dbm", kMixer, mixer.p1db_in_dbm, real);
+  MSTS_UNCERTAIN("mixer.lo_isolation_db", kMixer, mixer.lo_isolation_db, real);
+  MSTS_UNCERTAIN("mixer.nf_db", kMixer, mixer.nf_db, real);
+  MSTS_UNCERTAIN("lo.freq_error_ppm", kMixer, lo.freq_error_ppm, real);
+  MSTS_UNCERTAIN("lo.phase_noise_rad", kMixer, lo.phase_noise_rad, real);
+  MSTS_SCALAR("lo.freq_hz", kMixer, lo.freq_hz, double, freq);
+  MSTS_SCALAR("lo.amplitude", kMixer, lo.amplitude, double, real);
+  MSTS_UNCERTAIN("lpf.cutoff_hz", kLpf, lpf.cutoff_hz, freq);
+  MSTS_UNCERTAIN("lpf.passband_gain_db", kLpf, lpf.passband_gain_db, real);
+  MSTS_UNCERTAIN("lpf.clock_spur_v", kLpf, lpf.clock_spur_v, real);
+  MSTS_SCALAR("lpf.order", kLpf, lpf.order, int, signed_int);
+  MSTS_SCALAR("lpf.clock_hz", kLpf, lpf.clock_hz, double, freq);
+  MSTS_UNCERTAIN("adc.offset_error_v", kAdc, adc.offset_error_v, real);
+  MSTS_UNCERTAIN("adc.gain_error", kAdc, adc.gain_error, real);
+  MSTS_UNCERTAIN("adc.inl_peak_lsb", kAdc, adc.inl_peak_lsb, real);
+  MSTS_UNCERTAIN("adc.dnl_sigma_lsb", kAdc, adc.dnl_sigma_lsb, real);
+  MSTS_SCALAR("adc.bits", kAdc, adc.bits, int, signed_int);
+  MSTS_SCALAR("adc.vref", kAdc, adc.vref, double, real);
+  MSTS_SCALAR("adc_decimation", kAdc, adc_decimation, std::size_t, unsigned_int);
+  MSTS_SCALAR("fir_taps", kFir, fir_taps, std::size_t, unsigned_int);
+  MSTS_SCALAR("fir_cutoff_norm", kFir, fir_cutoff_norm, double, real);
+  MSTS_SCALAR("fir_coeff_frac_bits", kFir, fir_coeff_frac_bits, int, signed_int);
+#undef MSTS_UNCERTAIN
+#undef MSTS_SCALAR
+  return out;
+}
+
+// Every number of the plan is finite; a spec side may be open (+/-inf) but
+// never NaN.
+bool plan_is_finite(const std::vector<core::PlannedTest>& plan) {
+  auto finite = [](std::initializer_list<double> xs) {
+    return std::all_of(xs.begin(), xs.end(), [](double x) { return std::isfinite(x); });
+  };
+  auto no_nan = [](const stats::SpecLimits& s) {
+    return !std::isnan(s.lo) && !std::isnan(s.hi);
+  };
+  for (const core::PlannedTest& t : plan) {
+    if (!finite({t.error.nominal, t.error.wc, t.error.sigma})) return false;
+    if (!t.has_study) continue;
+    const core::ParameterStudy& st = t.study;
+    if (!finite({st.population.mean, st.population.sigma, st.error_wc}) ||
+        !no_nan(st.spec)) {
+      return false;
+    }
+    for (const core::ThresholdRow& r : st.rows) {
+      const stats::TestOutcome& o = r.outcome;
+      if (!no_nan(r.threshold) || !finite({o.yield, o.defect_rate, o.accept_rate,
+                                           o.yield_loss, o.fault_coverage_loss})) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// 0 when the mutation ends as the contract allows, 1 when it does not.
+double mutation_violation(const FieldMutation& m) {
+  try {
+    return plan_is_finite(core::TestSynthesizer(m.graph).synthesize()) ? 0.0 : 1.0;
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what()).find(m.field) != std::string::npos ? 0.0 : 1.0;
+  } catch (...) {
+    return 1.0;
+  }
+}
+
+TEST(FieldMutations, RejectedByNameOrSynthesizedFinite) {
+  const std::vector<Mutator> mutators =
+      all_mutators(path::reference_path_config().analog_fs);
+  // (mutator, value) pairs in case order; the generator walks them.
+  auto cases = std::make_shared<std::vector<std::pair<const Mutator*, double>>>();
+  for (const Mutator& m : mutators) {
+    for (const double v : m.values) cases->emplace_back(&m, v);
+  }
+  auto next = std::make_shared<std::size_t>(0);
+
+  check::RunOptions opts;
+  opts.seed = 0x5EEDF1E1D5ull;
+  opts.cases = static_cast<int>(cases->size());
+  const check::Report report = check::differential<FieldMutation>(
+      "path_field_mutations",
+      [cases, next](stats::Rng& rng) {
+        const auto& [mutator, value] = (*cases)[(*next)++];
+        FieldMutation m{mutator->field, mutator->part, value,
+                        check::random_path_config(rng)};
+        mutator->set(m.graph, value);
+        return m;
+      },
+      [](const FieldMutation& m, stats::Rng&) {
+        return std::vector<double>{mutation_violation(m)};
+      },
+      [](const FieldMutation&, stats::Rng&) { return std::vector<double>{0.0}; },
+      [](const FieldMutation& m, obs::json::Writer& w) {
+        w.kv("field", m.field + m.part).kv("value", m.value);  // non-finite: null
+        check::describe(m.graph, w);
+      },
+      check::Tolerance::bit_identical(), opts);
+
+  EXPECT_GT(report.cases, 300);
+  // The reproducer names the first mutation (field, value, graph) that was
+  // neither rejected by name nor synthesized finite.
+  EXPECT_EQ(report.failures, 0) << report.reproducer;
 }
 
 }  // namespace

@@ -224,7 +224,7 @@ TEST(PathConfigValidation, AcceptedEdgesRunATransient) {
       c.adc.bits = bits;
       c.lpf.order = order;
       c.lpf.cutoff_hz.nominal = 15.9e6;
-      const PathGraph g(graph_from_config(c));
+      const PathGraph g(c);
       stats::Rng rng(3);
       const auto trace = g.run(rf_tone(g.config(), 10.4e6, 1e-3, 64), rng);
       EXPECT_EQ(trace.adc_codes.size(), 64u) << bits << " bits, order " << order;
@@ -244,12 +244,8 @@ TEST(PathConfigValidation, RejectsOddOrNonPositiveLpfOrder) {
 // Structural graph validation
 // ---------------------------------------------------------------------------
 
-PathGraphConfig canonical_graph() {
-  return graph_from_config(reference_path_config());
-}
-
 TEST(PathGraphValidation, CanonicalGraphIsValidAndOrdered) {
-  const PathGraphConfig g = canonical_graph();
+  const PathGraphConfig g = reference_path_config();
   EXPECT_NO_THROW(validate(g));
   ASSERT_EQ(g.blocks.size(), 5u);
   EXPECT_EQ(g.blocks[0].kind, BlockKind::kAmp);
@@ -264,81 +260,81 @@ TEST(PathGraphValidation, CanonicalGraphIsValidAndOrdered) {
 }
 
 TEST(PathGraphValidation, RejectsEmptyGraph) {
-  PathGraphConfig g = canonical_graph();
+  PathGraphConfig g = reference_path_config();
   g.blocks.clear();
   EXPECT_THROW(validate(g), std::invalid_argument);
 }
 
 TEST(PathGraphValidation, RequiresExactlyOneAdc) {
-  PathGraphConfig none = canonical_graph();
+  PathGraphConfig none = reference_path_config();
   none.blocks.erase(none.blocks.begin() + 3);
   none.blocks.pop_back();  // the FIR would dangle without the ADC anyway
   EXPECT_THROW(validate(none), std::invalid_argument);
 
-  PathGraphConfig two = canonical_graph();
+  PathGraphConfig two = reference_path_config();
   two.blocks.insert(two.blocks.begin() + 3, two.blocks[3]);
   EXPECT_THROW(validate(two), std::invalid_argument);
 }
 
 TEST(PathGraphValidation, RejectsAnalogBlocksBehindTheAdc) {
-  PathGraphConfig g = canonical_graph();
+  PathGraphConfig g = reference_path_config();
   std::swap(g.blocks[2], g.blocks[3]);  // lpf behind the adc
   EXPECT_THROW(validate(g), std::invalid_argument);
 }
 
 TEST(PathGraphValidation, RejectsFirInFrontOfTheAdcOrRepeated) {
-  PathGraphConfig front = canonical_graph();
+  PathGraphConfig front = reference_path_config();
   std::swap(front.blocks[3], front.blocks[4]);  // fir before the adc
   EXPECT_THROW(validate(front), std::invalid_argument);
 
-  PathGraphConfig twice = canonical_graph();
+  PathGraphConfig twice = reference_path_config();
   twice.blocks.push_back(twice.blocks[4]);
   EXPECT_THROW(validate(twice), std::invalid_argument);
 }
 
 TEST(PathGraphValidation, PerBlockRulesApplyInsideTheGraph) {
-  PathGraphConfig g = canonical_graph();
+  PathGraphConfig g = reference_path_config();
   g.blocks[4].fir_taps = 12;  // even
   EXPECT_THROW(validate(g), std::invalid_argument);
 
-  g = canonical_graph();
+  g = reference_path_config();
   g.blocks[3].adc_decimation = 0;
   EXPECT_THROW(validate(g), std::invalid_argument);
 
-  g = canonical_graph();
+  g = reference_path_config();
   g.blocks[2].lpf.order = 3;
   EXPECT_THROW(validate(g), std::invalid_argument);
 
-  g = canonical_graph();
+  g = reference_path_config();
   g.analog_fs = -1.0;
   EXPECT_THROW(validate(g), std::invalid_argument);
 
-  g = canonical_graph();
+  g = reference_path_config();
   g.blocks[1].lo.amplitude = 0.0;
   expect_rejected_naming(g, "lo.amplitude");
 
-  g = canonical_graph();
+  g = reference_path_config();
   g.blocks[3].adc.bits = 3;
   expect_rejected_naming(g, "adc.bits");
 
   for (const BlockMutation& m : kLpfAdcLoMutations) {
-    g = canonical_graph();
+    g = reference_path_config();
     m.apply(g.blocks[2].lpf, g.blocks[3].adc, g.blocks[1].lo);
     expect_rejected_naming(g, m.field);
   }
 
   for (const double bad : kNonFinite) {
     for (const auto& f : kAmpFields) {
-      g = canonical_graph();
+      g = reference_path_config();
       (g.blocks[0].amp.*f.member).nominal = bad;
       expect_rejected_naming(g, f.name);
     }
     for (const auto& f : kMixerFields) {
-      g = canonical_graph();
+      g = reference_path_config();
       (g.blocks[1].mixer.*f.member).nominal = bad;
       expect_rejected_naming(g, f.name);
     }
-    g = canonical_graph();
+    g = reference_path_config();
     g.analog_flatness_db.nominal = bad;
     expect_rejected_naming(g, "analog_flatness_db");
   }
@@ -348,7 +344,7 @@ TEST(PathGraphValidation, RejectsLoOutsideAnalogNyquist) {
   for (const double bad : {20.0e6, 16.0e6, 0.0, -1.0e6,
                            std::numeric_limits<double>::infinity(),
                            std::numeric_limits<double>::quiet_NaN()}) {
-    PathGraphConfig g = canonical_graph();
+    PathGraphConfig g = reference_path_config();
     g.blocks[1].lo.freq_hz = bad;
     try {
       validate(g);
@@ -358,7 +354,7 @@ TEST(PathGraphValidation, RejectsLoOutsideAnalogNyquist) {
           << e.what();
     }
   }
-  PathGraphConfig ok = canonical_graph();
+  PathGraphConfig ok = reference_path_config();
   ok.blocks[1].lo.freq_hz = 15.9e6;
   EXPECT_NO_THROW(validate(ok));
 }
@@ -368,7 +364,7 @@ TEST(PathGraphValidation, RejectsLoOutsideAnalogNyquist) {
 // ---------------------------------------------------------------------------
 
 TEST(PathGraph, NominalRunHasConsistentDimensions) {
-  const PathGraphConfig cfg = canonical_graph();
+  const PathGraphConfig cfg = reference_path_config();
   const PathGraph g(cfg);
   stats::Rng rng(1);
   const auto trace = g.run(rf_tone(cfg, 10.5e6, 1e-3, 1024), rng);
@@ -418,7 +414,7 @@ TEST(PathGraph, NonCanonicalTopologiesComposeAndRun) {
 }
 
 TEST(PathGraph, WorkspaceRunIsBitIdenticalToAllocatingRun) {
-  const PathGraphConfig cfg = canonical_graph();
+  const PathGraphConfig cfg = reference_path_config();
   const PathGraph g(cfg);
   const auto rf = rf_tone(cfg, 10.4e6, 1e-3, 512);
 
@@ -440,7 +436,7 @@ TEST(PathGraph, WorkspaceRunIsBitIdenticalToAllocatingRun) {
 }
 
 TEST(PathGraph, OutputVoltsIntoMatchesValueForm) {
-  const PathGraphConfig cfg = canonical_graph();
+  const PathGraphConfig cfg = reference_path_config();
   const PathGraph g(cfg);
   stats::Rng rng(3);
   const auto trace = g.run(rf_tone(cfg, 10.4e6, 1e-3, 256), rng);
@@ -451,7 +447,7 @@ TEST(PathGraph, OutputVoltsIntoMatchesValueForm) {
 }
 
 TEST(PathGraph, SampledIsDeterministicPerSeed) {
-  const PathGraphConfig cfg = canonical_graph();
+  const PathGraphConfig cfg = reference_path_config();
   stats::Rng mc_a(9), mc_b(9), mc_c(10);
   const PathGraph a = PathGraph::sampled(cfg, mc_a);
   const PathGraph b = PathGraph::sampled(cfg, mc_b);
@@ -468,7 +464,7 @@ TEST(PathGraph, SampledIsDeterministicPerSeed) {
 
 TEST(PathGraph, WorkspaceSurvivesRecordLengthChanges) {
   // Shrinking then regrowing the record must not leave stale tail samples.
-  const PathGraphConfig cfg = canonical_graph();
+  const PathGraphConfig cfg = reference_path_config();
   const PathGraph g(cfg);
   GraphWorkspace ws;
   for (std::size_t digital_n : {std::size_t{1024}, std::size_t{256}, std::size_t{1024}}) {
@@ -483,7 +479,7 @@ TEST(PathGraph, WorkspaceSurvivesRecordLengthChanges) {
 }
 
 TEST(PathGraph, RejectsWrongSampleRate) {
-  const PathGraphConfig cfg = canonical_graph();
+  const PathGraphConfig cfg = reference_path_config();
   const PathGraph g(cfg);
   stats::Rng rng(1);
   analog::Signal bad;

@@ -260,8 +260,7 @@ TEST(Measurements, GroupDelayRefusesToAliasWhenDelayExceedsRange) {
 TEST(Measurements, RejectsGraphWithoutMixerNamingTheBlock) {
   // Stimuli sit at the nominal LO + IF; a graph with no mixer has no LO to
   // place them by, and the rejection must say which block is missing.
-  const PathConfig c = reference_path_config();
-  PathGraphConfig g = graph_from_config(c);
+  PathGraphConfig g = reference_path_config();
   g.blocks.erase(g.blocks.begin() + 1);  // amp -> lpf -> adc -> fir
   const PathGraph path(g);
   stats::Rng rng(23);

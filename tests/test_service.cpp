@@ -29,14 +29,27 @@ namespace msts::service {
 namespace {
 
 SynthesisRequest make_request(int variant = 0) {
-  SynthesisRequest req;
-  req.config = path::reference_path_config();
+  path::PathConfig cfg = path::reference_path_config();
   // Distinct-but-valid configs: shift a couple of nominals by a small,
   // index-dependent amount (tolerances untouched).
-  req.config.amp.gain_db.nominal += 0.01 * static_cast<double>(variant % 17);
-  req.config.mixer.conv_gain_db.nominal -= 0.005 * static_cast<double>(variant % 13);
+  cfg.amp.gain_db.nominal += 0.01 * static_cast<double>(variant % 17);
+  cfg.mixer.conv_gain_db.nominal -= 0.005 * static_cast<double>(variant % 13);
+  SynthesisRequest req;
+  req.graph = cfg;
   return req;
 }
+
+// The first block of `kind` in the request's graph, for targeted edits.
+path::BlockConfig& block(SynthesisRequest& r, path::BlockKind kind) {
+  return r.graph->blocks[*r.graph->index_of(kind)];
+}
+
+// Identity oracles of the reference request (reference_path_config(),
+// default options): its content hash and the fingerprint of its served
+// result. Any change to synthesis, measurement-setup derivation or key
+// serialization that moves a single bit shows here.
+constexpr std::uint64_t kReferenceContentHash = 0x578c5b95fd57d0ddull;
+constexpr std::uint64_t kReferenceResultFingerprint = 0xd4b43447f1eaddf7ull;
 
 // ---------------------------------------------------------------------------
 // Content keys and fingerprints
@@ -54,11 +67,11 @@ TEST(ServiceRequest, ContentKeyDistinguishesConfigsAndOptions) {
   const std::string key = content_key(base);
 
   SynthesisRequest cfg = base;
-  cfg.config.amp.gain_db.nominal += 1e-12;  // bit-level sensitivity
+  block(cfg, path::BlockKind::kAmp).amp.gain_db.nominal += 1e-12;  // bit-level
   EXPECT_NE(content_key(cfg), key);
 
   SynthesisRequest tol = base;
-  tol.config.lpf.cutoff_hz.sigma *= 1.0000001;
+  block(tol, path::BlockKind::kLpf).lpf.cutoff_hz.sigma *= 1.0000001;
   EXPECT_NE(content_key(tol), key);
 
   SynthesisRequest adaptive = base;
@@ -79,34 +92,40 @@ TEST(ServiceRequest, ContentKeyDistinguishesConfigsAndOptions) {
   EXPECT_EQ(content_key(uncached), key);
 }
 
-// The content key always serializes the *effective graph*, so the flat
-// canonical request and its explicit-graph form are one cache entry.
+// A request built through the PathConfig conversion and one built block by
+// block with the BlockConfig factories are the same request: one key, one
+// served payload, and the pinned reference hash and fingerprint.
 TEST(ServiceRequest, FlatAndCanonicalGraphRequestsShareOneKey) {
-  const SynthesisRequest flat = make_request();
-  SynthesisRequest graphed = flat;
-  graphed.graph = path::graph_from_config(flat.config);
-  EXPECT_EQ(content_key(graphed), content_key(flat));
-  EXPECT_EQ(content_hash(graphed), content_hash(flat));
+  const path::PathConfig c = path::reference_path_config();
+  SynthesisRequest converted;
+  converted.graph = c;
 
-  // ...and the served payloads are bit-identical too.
-  EXPECT_EQ(result_content(synthesize_direct(graphed)),
-            result_content(synthesize_direct(flat)));
+  path::PathGraphConfig g;
+  g.analog_fs = c.analog_fs;
+  g.analog_flatness_db = c.analog_flatness_db;
+  g.blocks = {path::BlockConfig::make_amp(c.amp),
+              path::BlockConfig::make_mixer(c.mixer, c.lo),
+              path::BlockConfig::make_lpf(c.lpf),
+              path::BlockConfig::make_adc(c.adc, c.adc_decimation),
+              path::BlockConfig::make_fir(c.fir_taps, c.fir_cutoff_norm,
+                                          c.fir_coeff_frac_bits)};
+  SynthesisRequest built;
+  built.graph = g;
+
+  EXPECT_EQ(content_key(converted), content_key(built));
+  EXPECT_EQ(content_hash(converted), kReferenceContentHash);
+  EXPECT_EQ(content_hash(built), kReferenceContentHash);
+
+  const SynthesisResult served = synthesize_direct(converted);
+  EXPECT_EQ(result_content(served), result_content(synthesize_direct(built)));
+  EXPECT_EQ(result_fingerprint(served), kReferenceResultFingerprint);
 }
 
-// Key sensitivity over the graph description: block order and every
-// per-block field must feed the key (mirror of the flat-config cases in
-// ContentKeyDistinguishesConfigsAndOptions).
+// Key sensitivity over the graph description: block order, graph-level
+// fields and every block kind's fields must feed the key.
 TEST(ServiceRequest, ContentKeyCoversGraphArrangementAndBlockFields) {
-  SynthesisRequest base = make_request();
-  base.graph = path::graph_from_config(base.config);
+  const SynthesisRequest base = make_request();
   const std::string key = content_key(base);
-
-  // An explicit graph takes precedence: once set, the flat config is inert.
-  {
-    SynthesisRequest r = base;
-    r.config.amp.gain_db.nominal += 1.0;
-    EXPECT_EQ(content_key(r), key);
-  }
 
   // Block arrangement: amp at RF vs amp at IF is a different path even
   // though the multiset of blocks is identical.
@@ -330,6 +349,14 @@ TEST(ServiceEngine, SynthesisErrorPropagatesThroughFuture) {
   bad.options.spec_sigmas = -1.0;  // rejected by the synthesizer
   auto future = engine.submit(bad);
   EXPECT_THROW((void)future.get(), std::invalid_argument);
+  // A request without a graph fails the same way, naming the field.
+  auto unset = engine.submit(SynthesisRequest{});
+  try {
+    (void)unset.get();
+    ADD_FAILURE() << "a request without a graph was served";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("graph"), std::string::npos) << e.what();
+  }
   // The engine stays usable after a failed request.
   EXPECT_NE(engine.submit(make_request()).get().result, nullptr);
   EXPECT_EQ(engine.in_flight(), 0u);

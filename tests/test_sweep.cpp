@@ -4,11 +4,18 @@
 // cross-check columns. Runs under the `sweep` ctest label.
 #include "sweep/sweep.h"
 
+#include <cmath>
+#include <functional>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/digital_test.h"
+#include "core/mc_validation.h"
+#include "core/spec_backprop.h"
+#include "core/test_program.h"
 #include "path/receiver_path.h"
 
 namespace msts::sweep {
@@ -226,6 +233,82 @@ TEST(Sweep, FormatRankingListsEveryScenario) {
   for (const ScenarioScore& s : r.ranking) {
     EXPECT_NE(table.find(s.name), std::string::npos) << s.name;
   }
+}
+
+// Identity oracle: the fingerprint of bench_sweep's matrix (reference base,
+// two IF plans, so 24 scenarios; default options, 20000 MC trials per
+// study). Plans, MC cross-checks and ranking all feed it.
+TEST(Sweep, BenchMatrixFingerprintIsPinned) {
+  ScenarioMatrix m = default_matrix();
+  m.lo_freqs_hz = {9.5e6, 10.0e6};
+  const std::vector<Scenario> scenarios = m.expand();
+  ASSERT_EQ(scenarios.size(), 24u);
+  EXPECT_EQ(run_sweep(scenarios).fingerprint, 0xa4a20d32f677e25dull);
+}
+
+// ---------------------------------------------------------------------------
+// Every graph consumer on every sweep topology: it runs, or it rejects the
+// graph with a message naming the block kind it finds missing or repeated
+// (its formulas read one block per kind). Expectations are listed in
+// make_topology's order: canonical, if-amp, dual-lpf, no-amp; "" = runs.
+// ---------------------------------------------------------------------------
+
+void expect_runs_or_names_kind(const std::vector<std::string>& rejected_kinds,
+                               const std::function<void(const path::PathGraphConfig&)>& run) {
+  const char* const topologies[] = {"canonical", "if-amp", "dual-lpf", "no-amp"};
+  for (std::size_t t = 0; t < 4; ++t) {
+    const path::PathGraphConfig g = make_topology(topologies[t], path::reference_path_config());
+    const std::string& kind = rejected_kinds[t];
+    try {
+      run(g);
+      EXPECT_TRUE(kind.empty()) << "accepted " << topologies[t];
+    } catch (const std::invalid_argument& e) {
+      EXPECT_FALSE(kind.empty()) << topologies[t] << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find(kind + " block"), std::string::npos)
+          << topologies[t] << ": " << e.what();
+    }
+  }
+}
+
+TEST(TopologyConsumers, DigitalTester) {
+  // Reads the mixer (LO), LPF, ADC and FIR; the amp is only propagated.
+  expect_runs_or_names_kind({"", "", "lpf", ""}, [](const path::PathGraphConfig& g) {
+    const core::DigitalTester tester(g);
+    core::DigitalTestOptions opts;
+    opts.record = 256;
+    EXPECT_EQ(tester.ideal_codes(tester.plan(opts)).size(), opts.record);
+  });
+}
+
+TEST(TopologyConsumers, TestProgram) {
+  expect_runs_or_names_kind({"", "", "lpf", "amp"}, [](const path::PathGraphConfig& g) {
+    EXPECT_FALSE(core::TestProgram(g, core::GuardBandPolicy::kAtTol).steps().empty());
+  });
+}
+
+TEST(TopologyConsumers, BackpropagateSpec) {
+  expect_runs_or_names_kind({"", "", "lpf", "amp"}, [](const path::PathGraphConfig& g) {
+    EXPECT_EQ(core::backpropagate_spec(g, {}).blocks.size(), 3u);
+  });
+}
+
+TEST(TopologyConsumers, ValidateIip3StudyMc) {
+  // Reads only the mixer block, which every sweep topology has once; a graph
+  // without one is rejected by name.
+  auto run = [](const path::PathGraphConfig& g) {
+    path::MeasureOptions opts;
+    opts.digital_record = 1024;
+    stats::Rng rng(31);
+    const core::ParameterStudy study =
+        core::TestSynthesizer(path::reference_path_config()).study_mixer_iip3();
+    const core::McValidation v =
+        core::validate_iip3_study_mc(g, study, 10, rng, true, opts, 1);
+    EXPECT_TRUE(std::isfinite(v.mean_abs_meas_error));
+  };
+  expect_runs_or_names_kind({"", "", "", ""}, run);
+  path::PathGraphConfig no_mixer = path::reference_path_config();
+  no_mixer.blocks.erase(no_mixer.blocks.begin() + 1);
+  EXPECT_THROW(run(no_mixer), std::invalid_argument);
 }
 
 }  // namespace

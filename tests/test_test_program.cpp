@@ -9,7 +9,7 @@ namespace {
 path::PathConfig cfg() { return path::reference_path_config(); }
 
 path::PathGraph device_of(const path::PathConfig& c) {
-  return path::PathGraph(path::graph_from_config(c));
+  return path::PathGraph(c);
 }
 
 path::MeasureOptions fast_opts() {
