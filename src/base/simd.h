@@ -99,24 +99,31 @@ struct Kernels {
   std::int64_t (*fir_dot)(const std::int32_t* coeffs, std::size_t taps,
                           const std::int64_t* x);
 
-  /// Whole-netlist word-parallel gate sweep for digital::ParallelSimulator:
-  /// per op, values[out..out+words) = eval(type, a, b) masked by
-  /// (v & and_masks) | or_masks. Offsets in SimOp are pre-multiplied by
-  /// `words`, which must equal this backend's fault_words (the scalar
-  /// backend accepts any width and is the arbitrary-width fallback).
+  /// Word-parallel gate sweep for digital::ParallelSimulator: per op,
+  /// values[out..out+words) = eval(type, a, b), then masked by
+  /// (v & and_masks) | or_masks at the same offsets only when the op
+  /// carries kSimOpSite. Offsets in SimOp are pre-multiplied by `words`,
+  /// which must equal this backend's fault_words (the scalar backend
+  /// accepts any width and is the arbitrary-width fallback).
   void (*fault_eval)(const struct SimOp* ops, std::size_t nops,
                      std::uint64_t* values, const std::uint64_t* and_masks,
                      const std::uint64_t* or_masks, std::size_t words);
 };
 
+/// SimOp::type bits: the digital::GateType in the low byte, and the fault
+/// site flag — set on an op whose net carries an injected fault, the only
+/// ops fault_eval applies the masks to.
+inline constexpr std::uint32_t kSimOpTypeMask = 0xffu;
+inline constexpr std::uint32_t kSimOpSite = 0x100u;
+
 /// One evaluated gate for Kernels::fault_eval, emitted in topological order
-/// by digital::ParallelSimulator. `type` holds a digital::GateType restricted
-/// to the 1- and 2-input logic gates (sources are written by the caller).
+/// by digital::ParallelSimulator. The gate type is restricted to the 1- and
+/// 2-input logic gates (sources are written by the caller).
 struct SimOp {
-  std::uint32_t out;   ///< values offset of the driven net (net * words).
+  std::uint32_t out;   ///< values offset of the driven net (slot * words).
   std::uint32_t a;     ///< values offset of fanin 0.
   std::uint32_t b;     ///< values offset of fanin 1 (== a for 1-input types).
-  std::uint32_t type;  ///< static_cast<uint32_t>(digital::GateType).
+  std::uint32_t type;  ///< digital::GateType | kSimOpSite at a fault site.
 };
 
 /// True when the backend was compiled into this binary.

@@ -96,20 +96,65 @@ inline void rfft_combine_scalar(const double* z, const double* tw, double* out,
   outc[k] = even + twc[k] * odd;
 }
 
-inline std::uint64_t eval_logic_word(std::uint32_t type, std::uint64_t a,
-                                     std::uint64_t b) {
-  // Mirrors digital::eval_gate for the 1-/2-input logic types; sources are
-  // written by the caller and never appear as SimOps.
-  switch (type) {
-    case 3: return a;             // kBuf
-    case 4: return ~a;            // kNot
-    case 5: return a & b;         // kAnd
-    case 6: return a | b;         // kOr
-    case 7: return ~(a & b);      // kNand
-    case 8: return ~(a | b);      // kNor
-    case 9: return a ^ b;         // kXor
-    case 10: return ~(a ^ b);     // kXnor
-    default: return a;
+// fault_eval over `kWords` words per net (0: the runtime `words`), one
+// gate-type dispatch per op and the word loop inside each case. Mirrors
+// digital::eval_gate for the 1-/2-input logic types; sources are written by
+// the caller and never appear as SimOps.
+template <std::size_t kWords>
+void fault_eval_words(const SimOp* ops, std::size_t nops, std::uint64_t* values,
+                      const std::uint64_t* and_masks, const std::uint64_t* or_masks,
+                      std::size_t words) {
+  const std::size_t nw = kWords != 0 ? kWords : words;
+  for (std::size_t o = 0; o < nops; ++o) {
+    const SimOp& op = ops[o];
+    const std::uint64_t* a = values + op.a;
+    const std::uint64_t* b = values + op.b;
+    std::uint64_t* out = values + op.out;
+    switch (op.type & kSimOpTypeMask) {
+      case 4:  // kNot
+        for (std::size_t w = 0; w < nw; ++w) out[w] = ~a[w];
+        break;
+      case 5:  // kAnd
+        for (std::size_t w = 0; w < nw; ++w) out[w] = a[w] & b[w];
+        break;
+      case 6:  // kOr
+        for (std::size_t w = 0; w < nw; ++w) out[w] = a[w] | b[w];
+        break;
+      case 7:  // kNand
+        for (std::size_t w = 0; w < nw; ++w) out[w] = ~(a[w] & b[w]);
+        break;
+      case 8:  // kNor
+        for (std::size_t w = 0; w < nw; ++w) out[w] = ~(a[w] | b[w]);
+        break;
+      case 9:  // kXor
+        for (std::size_t w = 0; w < nw; ++w) out[w] = a[w] ^ b[w];
+        break;
+      case 10:  // kXnor
+        for (std::size_t w = 0; w < nw; ++w) out[w] = ~(a[w] ^ b[w]);
+        break;
+      default:  // kBuf
+        for (std::size_t w = 0; w < nw; ++w) out[w] = a[w];
+        break;
+    }
+    if ((op.type & kSimOpSite) != 0) {
+      const std::uint64_t* am = and_masks + op.out;
+      const std::uint64_t* om = or_masks + op.out;
+      for (std::size_t w = 0; w < nw; ++w) out[w] = (out[w] & am[w]) | om[w];
+    }
+  }
+}
+
+// The scalar sweep at any width, with the word loop unrolled at the common
+// ones.
+void fault_eval_scalar(const SimOp* ops, std::size_t nops, std::uint64_t* values,
+                       const std::uint64_t* and_masks, const std::uint64_t* or_masks,
+                       std::size_t words) {
+  switch (words) {
+    case 1: return fault_eval_words<1>(ops, nops, values, and_masks, or_masks, 1);
+    case 2: return fault_eval_words<2>(ops, nops, values, and_masks, or_masks, 2);
+    case 4: return fault_eval_words<4>(ops, nops, values, and_masks, or_masks, 4);
+    case 8: return fault_eval_words<8>(ops, nops, values, and_masks, or_masks, 8);
+    default: return fault_eval_words<0>(ops, nops, values, and_masks, or_masks, words);
   }
 }
 
@@ -223,14 +268,7 @@ void fault_eval(const SimOp* ops, std::size_t nops, std::uint64_t* values,
                 std::size_t words) {
   // The scalar backend is the arbitrary-width fallback: it evaluates any
   // word count (digital::ParallelSimulator routes mismatched widths here).
-  for (std::size_t o = 0; o < nops; ++o) {
-    const SimOp& op = ops[o];
-    for (std::size_t w = 0; w < words; ++w) {
-      const std::uint64_t v =
-          eval_logic_word(op.type, values[op.a + w], values[op.b + w]);
-      values[op.out + w] = (v & and_masks[op.out + w]) | or_masks[op.out + w];
-    }
-  }
+  fault_eval_scalar(ops, nops, values, and_masks, or_masks, words);
 }
 
 #else  // MSTS_SIMD_WIDTH > 1: vector backend
@@ -479,14 +517,7 @@ void fault_eval(const SimOp* ops, std::size_t nops, std::uint64_t* values,
                 std::size_t words) {
   if (words != static_cast<std::size_t>(W)) {
     // Width mismatch (caller normally prevents this): scalar sweep.
-    for (std::size_t o = 0; o < nops; ++o) {
-      const SimOp& op = ops[o];
-      for (std::size_t w = 0; w < words; ++w) {
-        const std::uint64_t v =
-            eval_logic_word(op.type, values[op.a + w], values[op.b + w]);
-        values[op.out + w] = (v & and_masks[op.out + w]) | or_masks[op.out + w];
-      }
-    }
+    fault_eval_scalar(ops, nops, values, and_masks, or_masks, words);
     return;
   }
   const vu64 ones = ~vu64{};
@@ -495,7 +526,7 @@ void fault_eval(const SimOp* ops, std::size_t nops, std::uint64_t* values,
     const vu64 a = loadu64(values + op.a);
     const vu64 b = loadu64(values + op.b);
     vu64 v;
-    switch (op.type) {
+    switch (op.type & kSimOpTypeMask) {
       case 3: v = a; break;                 // kBuf
       case 4: v = a ^ ones; break;          // kNot
       case 5: v = a & b; break;             // kAnd
@@ -506,7 +537,9 @@ void fault_eval(const SimOp* ops, std::size_t nops, std::uint64_t* values,
       case 10: v = (a ^ b) ^ ones; break;   // kXnor
       default: v = a; break;
     }
-    v = (v & loadu64(and_masks + op.out)) | loadu64(or_masks + op.out);
+    if ((op.type & kSimOpSite) != 0) {
+      v = (v & loadu64(and_masks + op.out)) | loadu64(or_masks + op.out);
+    }
     storeu64(values + op.out, v);
   }
 }

@@ -930,6 +930,209 @@ Report check_fault_sim_cone_vs_full_sweep(const RunOptions& opts) {
 }
 
 // ---------------------------------------------------------------------------
+// Fault simulation vs a serial eval_gate model. The fast side is
+// simulate_faults at 1, 4 and 8 words: cone-restricted batches, unfaulted
+// BUFs aliased to their roots, masks at fault sites only. The golden side
+// simulates one machine per fault, stepping Netlist::topo_order with
+// digital::eval_gate and overriding the fault net after each evaluation —
+// no SimOps, no masks, no aliasing, no cones — so a bug shared by every
+// ParallelSimulator configuration cannot sit on both sides.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// A random sequential circuit with DFF feedback, BUF chains of depth 2..4
+// (some with a second reader mid-chain) and constant-fed gates, passed
+// through with_explicit_branches. Faults sit on BUFs inside chains, on chain
+// roots, on inputs, DFF Q pins and constants, or anywhere in the collapsed
+// universe; the output bus also carries an unfaulted BUF of an undriven
+// input, outside every cone.
+struct BranchedCase {
+  FaultSimCase sim;
+  std::size_t buf_chains = 0;
+};
+
+BranchedCase random_branched_case(stats::Rng& rng) {
+  std::vector<digital::NetId> nets;
+  FaultSimCase base = random_fault_sim_case(rng, &nets);
+  digital::Netlist& nl = base.nl;
+  using digital::GateType;
+  for (const digital::NetId q : std::vector<digital::NetId>(nl.dffs())) {
+    if (rng.uniform() < 0.5) {
+      nl.set_dff_input(q, q + static_cast<digital::NetId>(rng.uniform_int(nl.num_nets() - q)));
+    }
+  }
+  auto any = [&] { return nets[rng.uniform_int(nets.size())]; };
+  const GateType kinds[] = {GateType::kAnd, GateType::kXor, GateType::kNor, GateType::kXnor};
+  const std::size_t chains = 2 + rng.uniform_int(3);
+  for (std::size_t k = 0; k < chains; ++k) {
+    digital::NetId end = any();
+    std::vector<digital::NetId> chain;
+    for (std::size_t d = 0, depth = 2 + rng.uniform_int(3); d < depth; ++d) {
+      end = nl.add_gate(GateType::kBuf, end);
+      chain.push_back(end);
+    }
+    const digital::NetId reader = nl.add_gate(kinds[rng.uniform_int(4)], end, any());
+    nl.mark_output(reader);
+    nets.push_back(reader);
+    if (rng.uniform() < 0.5) {
+      const digital::NetId mid = chain[rng.uniform_int(chain.size() - 1)];
+      nets.push_back(nl.add_gate(kinds[rng.uniform_int(4)], mid, any()));
+    }
+  }
+  nl.mark_output(nl.add_gate(GateType::kOr, nl.add_const(false), any()));
+  nl.mark_output(nl.add_gate(GateType::kXor, nl.add_const(true), any()));
+  if (!nl.dffs().empty()) nl.mark_output(nl.dffs()[rng.uniform_int(nl.dffs().size())]);
+  const digital::NetId quiet = nl.add_input("quiet");  // never driven, never faulted
+  nl.mark_output(nl.add_gate(GateType::kBuf, quiet));
+
+  BranchedCase c;
+  c.sim.nl = nl.with_explicit_branches();
+  const digital::Netlist& bn = c.sim.nl;
+  // Inputs keep their order through the transform; `quiet` is the last.
+  c.sim.in.bits.assign(bn.inputs().begin(), bn.inputs().begin() +
+                                                static_cast<std::ptrdiff_t>(base.in.width()));
+  c.sim.out.bits = bn.outputs();
+  c.sim.stimulus = base.stimulus;
+  const digital::NetId bquiet = bn.inputs().back();
+
+  // Fault site classes on the branched netlist.
+  std::vector<digital::NetId> chain_bufs, chain_roots, sources;
+  for (digital::NetId id = 0; id < bn.num_nets(); ++id) {
+    const digital::Gate& g = bn.gate(id);
+    if (g.type == GateType::kBuf && bn.gate(g.fanin0).type == GateType::kBuf) {
+      chain_bufs.push_back(id);
+      digital::NetId r = g.fanin0;
+      while (bn.gate(r).type == GateType::kBuf) r = bn.gate(r).fanin0;
+      if (r != bquiet) chain_roots.push_back(r);
+    }
+    const bool source = g.type == GateType::kInput || g.type == GateType::kDff ||
+                        g.type == GateType::kConst0 || g.type == GateType::kConst1;
+    if (source && id != bquiet) sources.push_back(id);
+  }
+  std::vector<digital::Fault> collapsed = digital::collapsed_faults(bn);
+  std::erase_if(collapsed, [&](const digital::Fault& f) {
+    return f.net == bquiet ||
+           (bn.gate(f.net).type == GateType::kBuf && bn.gate(f.net).fanin0 == bquiet);
+  });
+  const std::vector<const std::vector<digital::NetId>*> classes = {&chain_bufs, &chain_roots,
+                                                                   &sources};
+  const std::size_t count = rng.uniform() < 0.5
+                                ? 1 + rng.uniform_int(6)
+                                : 64 * rng.uniform_int(10) + 1 + rng.uniform_int(63);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t k = rng.uniform_int(classes.size() + 1);
+    if (k == classes.size() || classes[k]->empty()) {
+      c.sim.faults.push_back(collapsed[rng.uniform_int(collapsed.size())]);
+    } else {
+      const std::vector<digital::NetId>& pool = *classes[k];
+      c.sim.faults.push_back({pool[rng.uniform_int(pool.size())], rng.uniform() < 0.5});
+    }
+  }
+  c.buf_chains = chains;
+  return c;
+}
+
+// The output stream of one machine: every net's value an all-0 / all-1
+// word, stepped through the topological order with eval_gate; `fault` (if
+// any) overrides its net after each evaluation.
+std::vector<std::int64_t> run_serial_machine(const digital::Netlist& nl,
+                                             const std::vector<digital::NetId>& topo,
+                                             const FaultSimCase& c,
+                                             const digital::Fault* fault) {
+  std::vector<std::uint64_t> value(nl.num_nets(), 0);
+  std::vector<std::uint64_t> state(nl.num_nets(), 0);
+  std::vector<std::uint64_t> drive(nl.num_nets(), 0);  // undriven inputs stay 0
+  std::vector<std::int64_t> stream;
+  for (const std::int64_t x : c.stimulus) {
+    for (std::size_t i = 0; i < c.in.width(); ++i) {
+      drive[c.in.bits[i]] = ((x >> i) & 1) != 0 ? ~0ull : 0ull;
+    }
+    for (const digital::NetId id : topo) {
+      const digital::Gate& g = nl.gate(id);
+      std::uint64_t v = 0;
+      switch (g.type) {
+        case digital::GateType::kInput: v = drive[id]; break;
+        case digital::GateType::kDff: v = state[id]; break;
+        default:
+          v = digital::eval_gate(g.type, value[g.fanin0],
+                                 digital::arity(g.type) == 2 ? value[g.fanin1] : 0);
+      }
+      if (fault != nullptr && fault->net == id) v = fault->stuck_at_one ? ~0ull : 0ull;
+      value[id] = v;
+    }
+    std::uint64_t raw = 0;
+    for (std::size_t b = 0; b < c.out.width(); ++b) {
+      raw |= (value[c.out.bits[b]] & 1ull) << b;
+    }
+    const std::size_t w = c.out.width();
+    if (w < 64 && ((raw >> (w - 1)) & 1ull)) raw |= ~0ull << w;
+    stream.push_back(static_cast<std::int64_t>(raw));
+    for (const digital::NetId q : nl.dffs()) state[q] = value[nl.gate(q).fanin0];
+  }
+  return stream;
+}
+
+}  // namespace
+
+Report check_fault_sim_vs_serial_eval_gate(const RunOptions& opts) {
+  using Case = BranchedCase;
+  return differential<Case>(
+      "fault_sim_vs_serial_eval_gate",
+      [](stats::Rng& rng) { return random_branched_case(rng); },
+      [](const Case& c, stats::Rng&) {
+        std::vector<double> out;
+        for (const std::size_t words : kConeWidths) {
+          std::vector<std::vector<std::int64_t>> streams(c.sim.faults.size());
+          digital::FaultSimOptions fo;
+          fo.machine_words = static_cast<int>(words);
+          fo.threads = 1;
+          fo.on_waveform = [&](std::size_t i, std::span<const std::int64_t> w, bool) {
+            streams[i].assign(w.begin(), w.end());
+          };
+          const auto r = digital::simulate_faults(c.sim.nl, c.sim.in, c.sim.out,
+                                                  c.sim.stimulus, c.sim.faults, fo);
+          for (const bool d : r.detected) out.push_back(d ? 1.0 : 0.0);
+          for (const std::int64_t v : r.good_waveform) push_sample(out, v);
+          for (const auto& s : streams) {
+            for (const std::int64_t v : s) push_sample(out, v);
+          }
+        }
+        return out;
+      },
+      [](const Case& c, stats::Rng&) {
+        const std::vector<digital::NetId> topo = c.sim.nl.topo_order();
+        const std::vector<std::int64_t> good =
+            run_serial_machine(c.sim.nl, topo, c.sim, nullptr);
+        std::vector<std::vector<std::int64_t>> streams;
+        for (const digital::Fault& f : c.sim.faults) {
+          streams.push_back(run_serial_machine(c.sim.nl, topo, c.sim, &f));
+        }
+        std::vector<double> one;
+        for (const auto& s : streams) one.push_back(s != good ? 1.0 : 0.0);
+        for (const std::int64_t v : good) push_sample(one, v);
+        for (const auto& s : streams) {
+          for (const std::int64_t v : s) push_sample(one, v);
+        }
+        std::vector<double> out;
+        for (std::size_t k = 0; k < std::size(kConeWidths); ++k) {
+          out.insert(out.end(), one.begin(), one.end());
+        }
+        return out;
+      },
+      [](const Case& c, obs::json::Writer& w) {
+        w.kv("nets", static_cast<std::uint64_t>(c.sim.nl.num_nets()));
+        w.kv("dffs", static_cast<std::uint64_t>(c.sim.nl.dffs().size()));
+        w.kv("buf_chains", static_cast<std::uint64_t>(c.buf_chains));
+        w.kv("faults", static_cast<std::uint64_t>(c.sim.faults.size()));
+        w.kv("cycles", static_cast<std::uint64_t>(c.sim.stimulus.size()));
+        w.kv("outputs", static_cast<std::uint64_t>(c.sim.out.width()));
+      },
+      // Exact logic on both sides: any difference is a simulator bug.
+      Tolerance::bit_identical(), opts);
+}
+
+// ---------------------------------------------------------------------------
 // Block Gaussian noise vs per-sample draws. The fast side draws through
 // Rng::fill_normal and the block noise stages (amplifier, LO phase walk,
 // mixer, the ADC's DNL walk over the shared INL bow); the golden side is the
@@ -1117,6 +1320,7 @@ std::vector<Report> run_all_kernel_checks(const RunOptions& opts) {
       check_fault_sim_capture_vs_bus_value(opts),
       check_noise_blocks_vs_per_sample_draws(opts),
       check_fault_sim_cone_vs_full_sweep(opts),
+      check_fault_sim_vs_serial_eval_gate(opts),
   };
 }
 

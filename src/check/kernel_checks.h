@@ -26,6 +26,10 @@
 //   simulate_faults' cone-restricted| the same ParallelSimulator with the
 //     batches over the good trace   |   whole netlist live, contiguous
 //     (W = 1, 4, 8)                 |   unsorted batches, bus_value readout
+//   simulate_faults on branched     | one machine per fault stepping
+//     netlists: BUF aliasing, site- |   Netlist::topo_order with eval_gate:
+//     only masks, cones (W = 1, 4,  |   no SimOps, masks, aliasing or cones
+//     8)                            |
 //
 // The analytic guard-band pair is the regression net for the yield-integration
 // fix: with the threshold cuts missing from the integration grid, the
@@ -49,6 +53,7 @@ Report check_guard_band_analytic_vs_mc(const RunOptions& opts = {});
 Report check_fault_sim_capture_vs_bus_value(const RunOptions& opts = {});
 Report check_noise_blocks_vs_per_sample_draws(const RunOptions& opts = {});
 Report check_fault_sim_cone_vs_full_sweep(const RunOptions& opts = {});
+Report check_fault_sim_vs_serial_eval_gate(const RunOptions& opts = {});
 
 // SIMD backend vs forced-scalar pairs (base/simd.h). The reference side runs
 // the SAME public API under simd::ScopedIsa(kScalar) — the scalar backend is

@@ -218,13 +218,16 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
   }
 
   // Dedicated good-machine pass. It also records the good trace every
-  // cone-restricted batch reads its held nets from: one bit per net per
-  // cycle, shared read-only by the batches.
+  // cone-restricted batch reads its held nets from: one bit per alias root
+  // (non-BUF net) per cycle, since a held net is always a root, shared
+  // read-only by the batches.
   const std::size_t cycles = stimulus.size();
-  const std::size_t row_words = (nl.num_nets() + 63) / 64;
-  std::vector<std::uint64_t> trace(faults.empty() ? 0 : cycles * row_words);
+  std::size_t row_words = 0;
+  std::vector<std::uint64_t> trace;
   {
     ParallelSimulator sim(nl, 1);  // one machine suffices for the reference
+    row_words = sim.row_words();
+    trace.assign(faults.empty() ? 0 : cycles * row_words, 0);
     StreamCapture capture(output, cycles, 1);
     for (std::size_t t = 0; t < cycles; ++t) {
       sim.set_bus(input, stimulus[t]);
@@ -283,9 +286,6 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
     for (NetId b : output.bits) live[b] = 1;
 
     ParallelSimulator sim(nl, mwords, live);
-    // Nets a batch stores, summed: against batches x nets, the share of the
-    // netlist the cone restriction left to simulate.
-    obs::counter_add("digital.simulate_faults.batch_nets", sim.stored_nets());
     for (std::size_t i = 0; i < batch; ++i) {
       sim.inject(faults[ids[i]], static_cast<int>(i + 1));
     }
@@ -327,6 +327,11 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
         if (all) break;
       }
     }
+    // Nets a batch's program stores and gate ops it sweeps, summed: against
+    // batches x nets, the share of the netlist the cone restriction and the
+    // BUF aliasing left to simulate.
+    obs::counter_add("digital.simulate_faults.batch_nets", sim.stored_nets());
+    obs::counter_add("digital.simulate_faults.batch_ops", sim.gate_ops());
     std::copy(detected_mask.begin(), detected_mask.end(),
               batch_masks.begin() + bi * mwords);
     if (capture) {

@@ -13,13 +13,17 @@
 //    translated-test regime.
 //
 // Batch partition. A call first runs the good machine alone over the whole
-// netlist and records its value of every net in every cycle (one bit per
-// net per cycle). When the faults need more than one batch, they are
+// netlist and records its value of every alias root — every net that is not
+// a BUF (digital/sim.h) — in every cycle: one bit per root per cycle, about
+// 3.7 MiB for the reference FIR's 3,767 roots at 8,192 cycles. When the faults need more than one batch, they are
 // ordered by fan-out cone — largest cone first, then by the fault site's
 // topological position — and cut into consecutive batches; one batch keeps
 // the submitted order. Each batch simulates only the union of its faults'
 // cones, closed through DFFs (ParallelSimulator's live set): every other
-// net carries the good machine's value, read from the recorded trace. This
+// net carries the good machine's value, read from the recorded trace (a
+// held net is always a root, so the trace holds every net a batch can
+// hold). Within a batch, unfaulted BUFs are aliases, neither stored nor
+// swept, and only the fault sites are masked. This
 // is exact, so the partition changes the speed, never a verdict or stream
 // (PROOFS-style fault grouping, Niermann, Cheng and Patel 1992).
 //

@@ -48,6 +48,10 @@ void transpose64(std::uint64_t a[64]) {
   transpose_stage<1, 0x5555555555555555ull>(a);
 }
 
+constexpr const char* kStale =
+    "the program is stale: it is built for the injected faults on the first "
+    "eval(), load_held() or clock() after construction, inject() or clear_faults()";
+
 bool is_source(GateType t) {
   return t == GateType::kInput || t == GateType::kDff ||
          t == GateType::kConst0 || t == GateType::kConst1;
@@ -56,11 +60,11 @@ bool is_source(GateType t) {
 }  // namespace
 
 std::size_t default_machine_words() {
-  // Measured on the Sec. 5 fault campaign (cone-restricted batches, 4-core
-  // AVX-512 host; table in DESIGN.md, SIMD layer item 4): 4 words ran as
-  // fast as 8 with 28 % less peak memory, and 1 or 2 words were ~2x
-  // slower. 4 words on an AVX-512 host run the AVX2 fault_eval kernel.
-  // NEON keeps its native width (not measured).
+  // Measured on the Sec. 5 fault campaign (cone-restricted batches with
+  // BUF aliasing, 4-core AVX-512 host; table in DESIGN.md, SIMD layer item
+  // 4): 8 words ran ~18 % faster than 4 but at ~1.5x the peak memory, and
+  // 1 or 2 words were 1.4-1.7x slower. 4 words on an AVX-512 host run the
+  // AVX2 fault_eval kernel. NEON keeps its native width (not measured).
   switch (simd::active_isa()) {
     case simd::Isa::kScalar: return 1;
     case simd::Isa::kNeon: return 2;
@@ -82,30 +86,13 @@ ParallelSimulator::ParallelSimulator(const Netlist& nl, std::size_t machine_word
   if (!whole_) {
     for (std::size_t i = 0; i < n; ++i) live_[i] = live[i] != 0 ? 1 : 0;
   }
-
-  // Stored nets: the live ones, plus the held nets live logic reads (gate
-  // fanins and live DFFs' D pins outside the set), in ascending net order —
-  // the identity layout for a whole-netlist simulator.
-  std::vector<std::uint8_t> stored(live_);
-  for (NetId id = 0; id < n && !whole_; ++id) {
-    if (!live_[id]) continue;
-    const Gate& g = nl.gate(id);
-    const int a = arity(g.type);
-    if (a >= 1) stored[g.fanin0] = 1;
-    if (a >= 2) stored[g.fanin1] = 1;
-  }
-  const std::uint32_t w32 = static_cast<std::uint32_t>(words_);
-  slot_.assign(n, kNotStored);
-  std::uint32_t count = 0;
+  site_.assign(n, 0);
   for (NetId id = 0; id < n; ++id) {
-    if (!stored[id]) continue;
-    slot_[id] = count;
-    if (!live_[id]) held_.push_back({count * w32, id});
-    ++count;
+    if (nl.gate(id).type != GateType::kBuf) ++row_bits_;
   }
-  values_.assign(count * words_, 0);
-  and_masks_.assign(count * words_, ~0ull);
-  or_masks_.assign(count * words_, 0);
+  for (NetId id : nl.topo_order()) {
+    if (live_[id]) order_.push_back(id);
+  }
 
   input_index_.assign(n, kNotStored);
   std::uint32_t live_inputs = 0;
@@ -113,38 +100,134 @@ ParallelSimulator::ParallelSimulator(const Netlist& nl, std::size_t machine_word
     if (live_[in]) input_index_[in] = live_inputs++;
   }
   input_words_.assign(live_inputs * words_, 0);
-  std::vector<std::uint32_t> dff_index(n, 0);
+  dff_index_.assign(n, kNotStored);
+  std::uint32_t live_dffs = 0;
   for (NetId q : nl.dffs()) {
-    if (!live_[q]) continue;
-    dff_index[q] = static_cast<std::uint32_t>(dff_d_.size());
-    dff_d_.push_back(slot_[nl.gate(q).fanin0] * w32);
+    if (live_[q]) dff_index_[q] = live_dffs++;
   }
-  state_.assign(dff_d_.size() * words_, 0);
+  state_.assign(live_dffs * words_, 0);
+  // The program is built on first use, after the faults are injected.
+}
 
-  // Split the live topo order into source writes and the logic-gate sweep
-  // the fault_eval kernel runs. Sources have no fanins, so evaluating all of
-  // them before all gates preserves topological correctness.
-  for (NetId id : nl.topo_order()) {
-    if (!live_[id]) continue;
+NetId ParallelSimulator::root(NetId net) const {
+  // BUF fanins precede the BUF (Netlist::add_gate), so the walk ends.
+  while (netlist_.gate(net).type == GateType::kBuf && !site_[net]) {
+    net = netlist_.gate(net).fanin0;
+  }
+  return net;
+}
+
+void ParallelSimulator::build() {
+  const Netlist& nl = netlist_;
+  const std::size_t n = nl.num_nets();
+  const std::uint32_t w32 = static_cast<std::uint32_t>(words_);
+
+  // Stored roots: the roots of live nets and of what live roots read (gate
+  // fanins and live DFFs' D pins), in ascending net order — every non-BUF
+  // net of a fault-free whole-netlist simulator.
+  std::vector<std::uint8_t> stored(n, 0);
+  for (NetId id : order_) {
+    const NetId r = root(id);
+    stored[r] = 1;
+    if (r != id) continue;
     const Gate& g = nl.gate(id);
+    const int a = arity(g.type);
+    if (a >= 1) stored[root(g.fanin0)] = 1;
+    if (a >= 2) stored[root(g.fanin1)] = 1;
+  }
+  std::vector<std::uint32_t> old_slot(n, kNotStored);
+  old_slot.swap(slot_);  // empty on the first build
+  stored_.clear();
+  held_.clear();
+  row_slots_.clear();
+  std::uint32_t count = 0;
+  std::uint32_t bit = 0;
+  for (NetId id = 0; id < n; ++id) {
+    const bool buf = nl.gate(id).type == GateType::kBuf;
+    if (stored[id]) {
+      slot_[id] = count;
+      stored_.push_back(id);
+      // Faults sit on live nets, so a held root is never a BUF.
+      if (!live_[id]) held_.push_back({count * w32, bit});
+      if (whole_ && !buf) row_slots_.push_back(count * w32);
+      ++count;
+    }
+    if (!buf) ++bit;
+  }
+  // Aliased BUFs read their root's slot.
+  for (NetId id = 0; id < n; ++id) {
+    if (slot_[id] == kNotStored && nl.gate(id).type == GateType::kBuf) {
+      slot_[id] = slot_[root(id)];
+    }
+  }
+
+  // Carry every stored value over, so a clock() after inject() latches what
+  // the last eval() computed.
+  std::vector<std::uint64_t> values(count * words_, 0);
+  if (!old_slot.empty()) {
+    for (std::uint32_t k = 0; k < count; ++k) {
+      const std::uint32_t from = old_slot[stored_[k]];
+      if (from == kNotStored) continue;
+      std::copy_n(values_.begin() + from * words_, words_, values.begin() + k * words_);
+    }
+  }
+  values_.swap(values);
+  and_masks_.assign(count * words_, ~0ull);
+  or_masks_.assign(count * words_, 0);
+  for (const Injected& f : faults_) {
+    const std::size_t at = slot_[f.net] * words_ + f.machine / 64;
+    const std::uint64_t bit_mask = 1ull << (f.machine % 64);
+    if (f.stuck_at_one) {
+      or_masks_[at] |= bit_mask;
+    } else {
+      and_masks_[at] &= ~bit_mask;
+    }
+  }
+
+  dff_d_.clear();
+  for (NetId q : nl.dffs()) {
+    if (live_[q]) dff_d_.push_back(slot_[nl.gate(q).fanin0] * w32);
+  }
+
+  // Split the live roots in topo order into source writes and the
+  // logic-gate sweep the fault_eval kernel runs. Sources have no fanins, so
+  // evaluating all of them before all gates preserves topological order.
+  sources_.clear();
+  gate_ops_.clear();
+  for (NetId id : order_) {
+    if (root(id) != id) continue;
+    const Gate& g = nl.gate(id);
+    const std::uint32_t type = static_cast<std::uint32_t>(g.type) |
+                               (site_[id] ? simd::kSimOpSite : 0u);
     if (is_source(g.type)) {
       std::uint32_t src = 0;
       if (g.type == GateType::kInput) src = input_index_[id] * w32;
-      if (g.type == GateType::kDff) src = dff_index[id] * w32;
-      sources_.push_back({slot_[id] * w32, src, static_cast<std::uint32_t>(g.type)});
+      if (g.type == GateType::kDff) src = dff_index_[id] * w32;
+      sources_.push_back({slot_[id] * w32, src, type});
     } else {
       const std::uint32_t a = slot_[g.fanin0] * w32;
-      gate_ops_.push_back({slot_[id] * w32, a,
-                           arity(g.type) == 2 ? slot_[g.fanin1] * w32 : a,
-                           static_cast<std::uint32_t>(g.type)});
+      gate_ops_.push_back(
+          {slot_[id] * w32, a, arity(g.type) == 2 ? slot_[g.fanin1] * w32 : a, type});
     }
   }
+  stale_ = false;
 }
 
 std::size_t ParallelSimulator::offset(NetId net) const {
+  MSTS_REQUIRE(!stale_, kStale);
   MSTS_REQUIRE(net < slot_.size() && slot_[net] != kNotStored,
                "net is not stored by this simulator");
   return static_cast<std::size_t>(slot_[net]) * words_;
+}
+
+std::size_t ParallelSimulator::stored_nets() const {
+  MSTS_REQUIRE(!stale_, kStale);
+  return stored_.size();
+}
+
+std::size_t ParallelSimulator::gate_ops() const {
+  MSTS_REQUIRE(!stale_, kStale);
+  return gate_ops_.size();
 }
 
 const std::uint64_t* ParallelSimulator::value_words(NetId net) const {
@@ -152,8 +235,10 @@ const std::uint64_t* ParallelSimulator::value_words(NetId net) const {
 }
 
 void ParallelSimulator::clear_faults() {
-  std::fill(and_masks_.begin(), and_masks_.end(), ~0ull);
-  std::fill(or_masks_.begin(), or_masks_.end(), 0ull);
+  if (faults_.empty()) return;
+  for (const Injected& f : faults_) site_[f.net] = 0;
+  faults_.clear();
+  stale_ = true;
 }
 
 void ParallelSimulator::inject(const Fault& fault, int machine) {
@@ -161,14 +246,9 @@ void ParallelSimulator::inject(const Fault& fault, int machine) {
   MSTS_REQUIRE(live_[fault.net] != 0, "fault net is outside the live set");
   MSTS_REQUIRE(machine >= 0 && machine < static_cast<int>(machines()),
                "machine out of range");
-  const std::size_t word = static_cast<std::size_t>(machine) / 64;
-  const std::uint64_t bit = 1ull << (static_cast<std::size_t>(machine) % 64);
-  const std::size_t at = offset(fault.net) + word;
-  if (fault.stuck_at_one) {
-    or_masks_[at] |= bit;
-  } else {
-    and_masks_[at] &= ~bit;
-  }
+  faults_.push_back({fault.net, static_cast<std::uint32_t>(machine), fault.stuck_at_one});
+  site_[fault.net] = 1;
+  stale_ = true;
 }
 
 void ParallelSimulator::reset_state() { std::fill(state_.begin(), state_.end(), 0ull); }
@@ -190,47 +270,48 @@ void ParallelSimulator::set_bus(const Bus& bus, std::int64_t value) {
 }
 
 void ParallelSimulator::load_held(const std::uint64_t* good_row) {
+  refresh();
   for (const Held& h : held_) {
-    const std::uint64_t v = 0 - ((good_row[h.net / 64] >> (h.net % 64)) & 1ull);
+    const std::uint64_t v = 0 - ((good_row[h.bit / 64] >> (h.bit % 64)) & 1ull);
     std::fill_n(values_.data() + h.out, words_, v);
   }
 }
 
 void ParallelSimulator::good_row(std::uint64_t* row) const {
   MSTS_REQUIRE(whole_, "good_row needs a whole-netlist simulator");
-  // Whole netlist: net n is stored at n * words_.
-  const std::size_t n = netlist_.num_nets();
+  MSTS_REQUIRE(!stale_, kStale);
+  const std::size_t n = row_slots_.size();
   for (std::size_t base = 0; base < n; base += 64) {
     const std::size_t m = std::min<std::size_t>(64, n - base);
     std::uint64_t acc = 0;
-    for (std::size_t j = 0; j < m; ++j) acc |= (values_[(base + j) * words_] & 1ull) << j;
+    for (std::size_t j = 0; j < m; ++j) acc |= (values_[row_slots_[base + j]] & 1ull) << j;
     row[base / 64] = acc;
   }
 }
 
 void ParallelSimulator::eval() {
+  refresh();
   const std::size_t w = words_;
   for (const SrcOp& s : sources_) {
     std::uint64_t* out = values_.data() + s.out;
-    const std::uint64_t* am = and_masks_.data() + s.out;
-    const std::uint64_t* om = or_masks_.data() + s.out;
-    switch (static_cast<GateType>(s.type)) {
-      case GateType::kInput: {
-        const std::uint64_t* in = input_words_.data() + s.src;
-        for (std::size_t i = 0; i < w; ++i) out[i] = (in[i] & am[i]) | om[i];
+    switch (static_cast<GateType>(s.type & simd::kSimOpTypeMask)) {
+      case GateType::kInput:
+        std::copy_n(input_words_.data() + s.src, w, out);
         break;
-      }
-      case GateType::kDff: {
-        const std::uint64_t* q = state_.data() + s.src;
-        for (std::size_t i = 0; i < w; ++i) out[i] = (q[i] & am[i]) | om[i];
+      case GateType::kDff:
+        std::copy_n(state_.data() + s.src, w, out);
         break;
-      }
       case GateType::kConst0:
-        for (std::size_t i = 0; i < w; ++i) out[i] = om[i];
+        std::fill_n(out, w, 0ull);
         break;
       default:  // kConst1
-        for (std::size_t i = 0; i < w; ++i) out[i] = am[i] | om[i];
+        std::fill_n(out, w, ~0ull);
         break;
+    }
+    if ((s.type & simd::kSimOpSite) != 0) {
+      const std::uint64_t* am = and_masks_.data() + s.out;
+      const std::uint64_t* om = or_masks_.data() + s.out;
+      for (std::size_t i = 0; i < w; ++i) out[i] = (out[i] & am[i]) | om[i];
     }
   }
   kern_->fault_eval(gate_ops_.data(), gate_ops_.size(), values_.data(),
@@ -238,6 +319,7 @@ void ParallelSimulator::eval() {
 }
 
 void ParallelSimulator::clock() {
+  refresh();
   for (std::size_t i = 0; i < dff_d_.size(); ++i) {
     std::copy_n(values_.begin() + dff_d_[i], words_, state_.begin() + i * words_);
   }

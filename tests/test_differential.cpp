@@ -371,6 +371,17 @@ TEST(KernelChecks, FaultSimConeBatchesBitIdenticalToFullSweep) {
   EXPECT_EQ(r.worst.max_ulp, 0.0);
 }
 
+TEST(KernelChecks, FaultSimBitIdenticalToSerialEvalGate) {
+  // simulate_faults on branched netlists — BUF aliasing, site-only masks,
+  // cone-restricted batches at 1, 4 and 8 words — gives the verdicts,
+  // streams and good waveform of one eval_gate machine per fault, with
+  // faults mid-chain, on chain roots, inputs, DFF Q pins and constants.
+  const check::Report r = check::check_fault_sim_vs_serial_eval_gate();
+  EXPECT_TRUE(r.passed()) << r.reproducer;
+  EXPECT_EQ(r.worst.max_abs, 0.0);
+  EXPECT_EQ(r.worst.max_ulp, 0.0);
+}
+
 TEST(KernelChecks, FaultSimCaptureBitIdenticalToBusValue) {
   // Every fault's streamed output, decoded from bit planes, equals the
   // per-machine bus_value() capture — at output widths 1, 63 and 64 and
@@ -393,9 +404,9 @@ TEST(KernelChecks, NoiseBlocksBitIdenticalToPerSampleDraws) {
 
 TEST(KernelChecks, RunAllCoversEveryPair) {
   check::RunOptions opts;
-  opts.cases = 2;  // smoke pass over all fifteen pairs
+  opts.cases = 2;  // smoke pass over all sixteen pairs
   const std::vector<check::Report> reports = check::run_all_kernel_checks(opts);
-  ASSERT_EQ(reports.size(), 15u);
+  ASSERT_EQ(reports.size(), 16u);
   for (const check::Report& r : reports) {
     EXPECT_TRUE(r.passed()) << r.name << ": " << r.reproducer;
     EXPECT_EQ(r.cases, 2);

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 #include "digital/builder.h"
 #include "stats/rng.h"
 
@@ -224,6 +228,225 @@ TEST(ParallelSimulator, RejectsBadUsage) {
   ParallelSimulator narrow(nl, 1);
   EXPECT_EQ(narrow.machines(), 64u);
   EXPECT_THROW(narrow.inject(Fault{a, false}, 64), std::invalid_argument);
+}
+
+// A chain a -> b1 -> b2 -> b3 read by NOT and by an XOR with input c, and
+// a DFF latching b3: every BUF is an unfaulted alias until a fault lands on
+// one.
+struct BufChain {
+  Netlist nl;
+  NetId a, c, b1, b2, b3, inv, x, q;
+  BufChain() {
+    a = nl.add_input("a");
+    c = nl.add_input("c");
+    b1 = nl.add_gate(GateType::kBuf, a);
+    b2 = nl.add_gate(GateType::kBuf, b1);
+    b3 = nl.add_gate(GateType::kBuf, b2);
+    inv = nl.add_gate(GateType::kNot, b3);
+    x = nl.add_gate(GateType::kXor, b3, c);
+    q = nl.add_dff(b3);
+  }
+};
+
+TEST(ParallelSimulator, AliasedBufReadsItsRoot) {
+  BufChain t;
+  ParallelSimulator sim(t.nl, 1);
+  sim.set_input(t.a, true);
+  sim.eval();
+  // a, c, inv, x and q are stored; the three BUFs alias a.
+  EXPECT_EQ(sim.stored_nets(), 5u);
+  EXPECT_EQ(sim.gate_ops(), 2u);
+  for (const NetId b : {t.b1, t.b2, t.b3}) {
+    EXPECT_EQ(sim.value_words(b), sim.value_words(t.a));
+    EXPECT_EQ(sim.value(b), ~0ull);
+    EXPECT_TRUE(sim.value_in_machine(b, 17));
+  }
+  EXPECT_FALSE(sim.value_in_machine(t.inv, 0));
+  EXPECT_TRUE(sim.value_in_machine(t.x, 0));
+}
+
+TEST(ParallelSimulator, FaultOnMidChainBufSplitsTheChain) {
+  BufChain t;
+  ParallelSimulator sim(t.nl, 1);
+  sim.inject(Fault{t.b2, /*stuck_at_one=*/false}, 3);
+  sim.set_input(t.a, true);
+  sim.eval();
+  EXPECT_EQ(sim.stored_nets(), 6u);  // b2 is a root now; b1 and b3 alias a, b2
+  EXPECT_TRUE(sim.value_in_machine(t.b1, 3));  // upstream of the site
+  EXPECT_FALSE(sim.value_in_machine(t.b2, 3));
+  EXPECT_FALSE(sim.value_in_machine(t.b3, 3));
+  EXPECT_TRUE(sim.value_in_machine(t.inv, 3));
+  EXPECT_FALSE(sim.value_in_machine(t.x, 3));
+  for (const NetId n : {t.b1, t.b2, t.b3}) EXPECT_TRUE(sim.value_in_machine(n, 0));
+  EXPECT_EQ(sim.value_words(t.b3), sim.value_words(t.b2));
+  sim.clock();
+  sim.eval();
+  EXPECT_FALSE(sim.value_in_machine(t.q, 3));
+  EXPECT_TRUE(sim.value_in_machine(t.q, 0));
+}
+
+TEST(ParallelSimulator, FaultOnChainRootReachesEveryAlias) {
+  BufChain t;
+  ParallelSimulator sim(t.nl, 1);
+  sim.inject(Fault{t.a, /*stuck_at_one=*/true}, 5);
+  sim.set_input(t.a, false);
+  sim.eval();
+  EXPECT_EQ(sim.stored_nets(), 5u);  // the chain still aliases a
+  for (const NetId n : {t.a, t.b1, t.b2, t.b3}) {
+    EXPECT_TRUE(sim.value_in_machine(n, 5));
+    EXPECT_FALSE(sim.value_in_machine(n, 0));
+  }
+  EXPECT_FALSE(sim.value_in_machine(t.inv, 5));
+}
+
+TEST(ParallelSimulator, InjectAfterEvalKeepsDffStateAndReroutesTheSweep) {
+  BufChain t;
+  ParallelSimulator sim(t.nl, 1);
+  sim.set_input(t.a, true);
+  sim.eval();
+  sim.clock();  // q = 1 in every machine
+  sim.inject(Fault{t.b3, /*stuck_at_one=*/false}, 2);
+  sim.set_input(t.a, false);
+  sim.eval();
+  EXPECT_TRUE(sim.value_in_machine(t.q, 0));  // state survived the rebuild
+  EXPECT_TRUE(sim.value_in_machine(t.q, 2));
+  EXPECT_EQ(sim.gate_ops(), 3u);  // b3 is swept now
+  sim.set_input(t.a, true);
+  sim.eval();
+  EXPECT_TRUE(sim.value_in_machine(t.b3, 0));
+  EXPECT_FALSE(sim.value_in_machine(t.b3, 2));
+  EXPECT_TRUE(sim.value_in_machine(t.b2, 2));
+  sim.clock();
+  sim.eval();
+  EXPECT_TRUE(sim.value_in_machine(t.q, 0));
+  EXPECT_FALSE(sim.value_in_machine(t.q, 2));
+}
+
+TEST(ParallelSimulator, ClockAfterInjectLatchesTheLastEval) {
+  // inject() between eval() and clock(): the rebuild carries the evaluated
+  // values over, so the DFF latches what the last eval() computed.
+  BufChain t;
+  ParallelSimulator sim(t.nl, 1);
+  sim.set_input(t.a, true);
+  sim.eval();
+  sim.inject(Fault{t.b3, /*stuck_at_one=*/false}, 6);
+  sim.clock();
+  sim.eval();
+  EXPECT_TRUE(sim.value_in_machine(t.q, 0));
+  EXPECT_TRUE(sim.value_in_machine(t.q, 6));
+  EXPECT_FALSE(sim.value_in_machine(t.b3, 6));
+}
+
+TEST(ParallelSimulator, ClearFaultsRestoresTheAliasing) {
+  BufChain t;
+  ParallelSimulator sim(t.nl, 1);
+  sim.eval();
+  const std::size_t stored = sim.stored_nets();
+  const std::size_t ops = sim.gate_ops();
+  sim.inject(Fault{t.b1, true}, 1);
+  sim.inject(Fault{t.b3, false}, 4);
+  sim.eval();
+  EXPECT_EQ(sim.stored_nets(), stored + 2);
+  EXPECT_EQ(sim.gate_ops(), ops + 2);
+  sim.clear_faults();
+  sim.set_input(t.a, false);
+  sim.eval();
+  EXPECT_EQ(sim.stored_nets(), stored);
+  EXPECT_EQ(sim.gate_ops(), ops);
+  EXPECT_EQ(sim.value_words(t.b3), sim.value_words(t.a));
+  for (int m : {0, 1, 4}) EXPECT_FALSE(sim.value_in_machine(t.b3, m));
+}
+
+TEST(ParallelSimulator, GoodRowHoldsEveryNetThatCanBeHeld) {
+  // A branched random circuit: every non-BUF net can be held, and its row
+  // bit must be its good value; load_held must read the same bits back.
+  Netlist base;
+  stats::Rng rng(23);
+  std::vector<NetId> pool;
+  for (int i = 0; i < 6; ++i) pool.push_back(base.add_input());
+  pool.push_back(base.add_const(true));
+  for (int g = 0; g < 80; ++g) {
+    if (rng.uniform() < 0.1) {
+      pool.push_back(base.add_dff(pool[rng.uniform_int(pool.size())]));
+      continue;
+    }
+    const GateType kinds[] = {GateType::kAnd, GateType::kXor, GateType::kNor, GateType::kBuf};
+    pool.push_back(base.add_gate(kinds[rng.uniform_int(4)], pool[rng.uniform_int(pool.size())],
+                                 pool[rng.uniform_int(pool.size())]));
+  }
+  const Netlist nl = base.with_explicit_branches();
+  ParallelSimulator whole(nl, 1);
+  std::vector<NetId> roots;
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    if (nl.gate(n).type != GateType::kBuf) roots.push_back(n);
+  }
+  ASSERT_EQ(whole.row_words(), (roots.size() + 63) / 64);
+  // Two restricted simulators fed from the row: one with only the last
+  // logic gate live (its fan-in roots are held), one with every logic gate
+  // live and every source held.
+  NetId last = static_cast<NetId>(nl.num_nets() - 1);
+  while (nl.gate(last).type == GateType::kBuf || arity(nl.gate(last).type) != 2) --last;
+  std::vector<std::uint8_t> one(nl.num_nets(), 0), logic(nl.num_nets(), 0);
+  one[last] = 1;
+  for (NetId n = 0; n < nl.num_nets(); ++n) logic[n] = arity(nl.gate(n).type) > 0 &&
+                                                        nl.gate(n).type != GateType::kDff;
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    for (const NetId in : nl.inputs()) whole.set_input(in, rng.uniform() < 0.5);
+    whole.eval();
+    std::vector<std::uint64_t> row(whole.row_words(), ~0ull);
+    whole.good_row(row.data());
+    for (std::size_t k = 0; k < roots.size(); ++k) {
+      ASSERT_EQ(((row[k / 64] >> (k % 64)) & 1ull) != 0,
+                whole.value_in_machine(roots[k], 0))
+          << "net " << roots[k] << " cycle " << cycle;
+    }
+    for (const auto* live : {&one, &logic}) {
+      ParallelSimulator part(nl, 4, *live);
+      part.load_held(row.data());
+      part.eval();
+      // Readable: the live nets and what they read.
+      std::vector<std::uint8_t> readable(*live);
+      for (NetId n = 0; n < nl.num_nets(); ++n) {
+        if (!(*live)[n]) continue;
+        const Gate& g = nl.gate(n);
+        readable[g.fanin0] = 1;
+        if (arity(g.type) == 2) readable[g.fanin1] = 1;
+      }
+      for (NetId n = 0; n < nl.num_nets(); ++n) {
+        if (!readable[n]) continue;
+        ASSERT_EQ(part.value_words(n)[3], whole.value_in_machine(n, 0) ? ~0ull : 0ull)
+            << "net " << n << " cycle " << cycle;
+      }
+    }
+    whole.clock();
+  }
+}
+
+TEST(ParallelSimulator, StaleAccessorsThrowNamingTheCause) {
+  BufChain t;
+  ParallelSimulator sim(t.nl, 1);
+  EXPECT_THROW(sim.stored_nets(), std::invalid_argument);  // built on first use
+  sim.eval();
+  sim.inject(Fault{t.b2, true}, 1);
+  for (auto read : std::initializer_list<std::function<void()>>{
+           [&] { (void)sim.value_words(t.b3); },
+           [&] { (void)sim.value_in_machine(t.b2, 1); },
+           [&] { (void)sim.stored_nets(); },
+           [&] { (void)sim.gate_ops(); },
+           [&] {
+             std::vector<std::uint64_t> row(sim.row_words());
+             sim.good_row(row.data());
+           }}) {
+    try {
+      read();
+      ADD_FAILURE() << "a stale program was read";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("stale"), std::string::npos) << e.what();
+    }
+  }
+  sim.eval();  // rebuilds
+  EXPECT_TRUE(sim.value_in_machine(t.b3, 1));
+  EXPECT_FALSE(sim.value_in_machine(t.b3, 0));
 }
 
 }  // namespace
