@@ -6,7 +6,7 @@
 //     plans = 24 scenarios) crossed and validated;
 //   * sweep — run_sweep iterated; every iteration synthesizes, scores and
 //     ranks all scenarios (headline: scenarios_per_sec);
-//   * verify — the sweep repeated at 1 thread and at the full pool; the
+//   * verify — the sweep repeated at 1 thread and at the full width; the
 //     ranking fingerprint must be bit-identical (fingerprint_mismatches
 //     must be 0), which is the determinism contract of sweep.h;
 //   * imbalanced — a skewed matrix (16x MC budget) scored with nested inner
@@ -45,7 +45,7 @@ int main() {
   std::printf("expand: %zu scenarios (%.3fs)\n", scenarios.size(),
               report.last_phase_wall_s());
 
-  // Phase 2: the headline sweep loop on the full thread pool.
+  // Phase 2: the headline sweep loop at the full thread count.
   report.phase_start("sweep");
   sweep::SweepResult result;
   for (std::size_t i = 0; i < iters; ++i) {
@@ -60,7 +60,7 @@ int main() {
               iters, scenarios.size(), sweep_wall, scenarios_per_sec);
   std::printf("\n%s\n", sweep::format_ranking(result).c_str());
 
-  // Phase 3: thread-count determinism — serial vs full pool, bit-identical.
+  // Phase 3: thread-count determinism — serial vs full width, bit-identical.
   report.phase_start("verify");
   sweep::SweepOptions serial = opts;
   serial.threads = 1;

@@ -206,6 +206,8 @@ FaultSimResult simulate_faults(const Netlist& nl, const Bus& input, const Bus& o
   require_bus(nl, input, "input", true);
   require_bus(nl, output, "output", false);
   for (const Fault& f : faults) MSTS_REQUIRE(f.net < nl.num_nets(), "fault net out of range");
+  MSTS_REQUIRE(options.machine_words >= 0,
+               "FaultSimOptions::machine_words must be >= 0 (0 = default_machine_words())");
   obs::Span span("digital.simulate_faults");
   obs::counter_add("digital.simulate_faults.faults", faults.size());
   obs::counter_add("digital.simulate_faults.vectors", stimulus.size());

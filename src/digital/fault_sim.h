@@ -75,11 +75,11 @@ struct FaultSimOptions {
   /// MSTS_THREADS / hardware concurrency; 1 is the serial path.
   int threads = 0;
   /// 64-bit words per net: each batch simulates 64*machine_words - 1 faults
-  /// beside the good machine (bit 0). 0 defers to default_machine_words()
-  /// (digital/sim.h), the measured per-ISA width: 1 scalar, 2 NEON, 4 AVX2
-  /// and 4 AVX-512. Detection is exact logic, so the verdicts are
-  /// bit-identical at every width — only the batch partition (and the
-  /// speed) changes.
+  /// beside the good machine (bit 0); negative is rejected. 0 defers to
+  /// default_machine_words() (digital/sim.h), the measured per-ISA width:
+  /// 1 scalar, 2 NEON, 4 AVX2 and 4 AVX-512. Detection is exact logic, so
+  /// the verdicts are bit-identical at every width — only the batch
+  /// partition (and the speed) changes.
   int machine_words = 0;
 };
 

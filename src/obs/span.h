@@ -26,8 +26,8 @@
 //
 // Parenting: each thread keeps a current-span cursor; a Span constructed
 // without an explicit parent nests under the thread's innermost open span.
-// Work handed to another thread (thread-pool tasks, parallel_for_index
-// blocks) captures Span::current() *before* dispatch and passes it as the
+// Work handed to another thread (a posted service request, a scheduler
+// chunk) captures Span::current() *before* dispatch and passes it as the
 // explicit parent, which stitches the tree across threads. Manual emission
 // (span_record_between + span_emit) covers stages whose endpoints are
 // existing time_points, e.g. a request's queue wait — the stage's duration

@@ -3,12 +3,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "base/require.h"
 #include "obs/config.h"
 #include "obs/registry.h"
 #include "obs/span.h"
+#include "stats/parallel.h"
 
 namespace msts::service {
 
@@ -40,6 +42,19 @@ std::string hex_bytes(const std::string& bytes) {
   return out;
 }
 
+EngineOptions validated(const EngineOptions& options) {
+  MSTS_REQUIRE(options.workers >= 0 && options.workers <= 4096,
+               "EngineOptions::workers must be in [0, 4096], got " +
+                   std::to_string(options.workers));
+  MSTS_REQUIRE(options.queue_capacity >= 1, "EngineOptions::queue_capacity must be >= 1");
+  // The bound of MSTS_SLOW_REQUEST_S; it also keeps the llround below in
+  // range. NaN fails the comparison.
+  MSTS_REQUIRE(options.slow_request_threshold_s <= 1e9,
+               "EngineOptions::slow_request_threshold_s must be <= 1e9 s and not NaN "
+               "(negative = MSTS_SLOW_REQUEST_S)");
+  return options;
+}
+
 std::uint64_t resolve_slow_threshold_ns(double option_s) {
   double t = option_s;
   if (t < 0.0) {
@@ -53,16 +68,13 @@ std::uint64_t resolve_slow_threshold_ns(double option_s) {
 }  // namespace
 
 SynthesisEngine::SynthesisEngine(EngineOptions options)
-    : options_(options),
-      workers_(stats::resolve_threads(options.workers)),
-      slow_threshold_ns_(resolve_slow_threshold_ns(options.slow_request_threshold_s)) {
-  MSTS_REQUIRE(options_.queue_capacity >= 1, "admission queue needs capacity >= 1");
-  pool_ = std::make_unique<stats::ThreadPool>(workers_);
-}
+    : options_(validated(options)),
+      slow_threshold_ns_(resolve_slow_threshold_ns(options_.slow_request_threshold_s)),
+      sched_(stats::resolve_threads(options_.workers)) {}
 
 SynthesisEngine::~SynthesisEngine() {
   // Wait for every admitted request (each one holds a pending_ slot until
-  // its promise is fulfilled), then let pool_'s destructor join the workers.
+  // its promise is fulfilled), then let sched_'s destructor join the workers.
   std::unique_lock<std::mutex> lock(mu_);
   cv_space_.wait(lock, [this] { return pending_ == 0; });
 }
@@ -103,7 +115,7 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
   // feed the stage timers); ids exist only when tracing. The root id is
   // allocated on the *submitting* thread so the root can record the
   // submitter's innermost span as its parent, stitching the tree across the
-  // pool dispatch.
+  // scheduler dispatch.
   const bool armed = obs::spans_armed();
   obs::SpanId root = 0;
   obs::SpanId submitter = 0;
@@ -111,8 +123,8 @@ std::future<Served> SynthesisEngine::admit(SynthesisRequest request) {
     root = obs::span_allocate_id();
     submitter = obs::Span::current();
   }
-  pool_->submit([this, promise = std::move(promise), request = std::move(request),
-                 admitted_at, armed, root, submitter]() mutable {
+  sched_.post([this, promise = std::move(promise), request = std::move(request),
+               admitted_at, armed, root, submitter]() mutable {
     Served served;
     std::exception_ptr error;
     try {

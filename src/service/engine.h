@@ -1,20 +1,21 @@
 // The synthesis service front end: bounded admission + workers + cache.
 //
-// A SynthesisEngine owns a fixed set of worker threads (the existing
-// stats::ThreadPool) behind a *bounded admission queue*: submit() blocks the
-// producer once `queue_capacity` requests are in flight (admission-control
-// backpressure — a service under overload slows its callers down instead of
-// growing an unbounded queue), try_submit() refuses instead of blocking.
-// Admitted requests execute concurrently on the workers; each one first
-// consults the content-hash PlanCache (service/cache.h) and only
-// synthesizes on a miss, outside any lock.
+// A SynthesisEngine owns a private stats::Scheduler of `workers` threads
+// behind a *bounded admission queue*: submit() blocks the producer once
+// `queue_capacity` requests are in flight (admission-control backpressure —
+// a service under overload slows its callers down instead of growing an
+// unbounded queue), try_submit() refuses instead of blocking. Each admitted
+// request is posted to the scheduler as a detached task (Scheduler::post);
+// requests execute concurrently on its workers, and each one first consults
+// the content-hash PlanCache (service/cache.h) and only synthesizes on a
+// miss, outside any lock.
 //
-// The engine's ThreadPool handles request admission only; any parallel
-// region a request opens (MC evaluation, sweep scoring) runs through
-// stats::parallel_for_index on the process-wide work-stealing Scheduler
-// (stats/scheduler.h), so concurrent requests *share* one set of compute
-// workers — their chunks interleave on the same deques — instead of each
-// forking a private partition and oversubscribing the machine.
+// One thread layer: a parallel region a request opens (MC evaluation, sweep
+// scoring) runs through stats::parallel_for_index as a nested task-set on
+// the engine's own workers (Scheduler::current()), so concurrent requests
+// share one set of workers — their chunks interleave on the same deques —
+// instead of each forking a private partition and oversubscribing the
+// machine.
 //
 // Determinism contract: synthesis consumes no RNG, so a served result is
 // bit-identical to a direct synthesize_direct() call for the same request —
@@ -58,22 +59,23 @@
 #include "obs/span.h"
 #include "service/cache.h"
 #include "service/request.h"
-#include "stats/parallel.h"
+#include "stats/scheduler.h"
 
 namespace msts::service {
 
 struct EngineOptions {
-  /// Worker threads; 0 resolves via stats::resolve_threads (MSTS_THREADS /
-  /// hardware concurrency).
+  /// Worker threads, in [0, 4096]; 0 resolves via stats::resolve_threads
+  /// (MSTS_THREADS / hardware concurrency).
   int workers = 0;
-  /// Admission bound: submit() blocks (try_submit() refuses) while this many
-  /// requests are queued or executing.
+  /// Admission bound (>= 1): submit() blocks (try_submit() refuses) while
+  /// this many requests are queued or executing.
   std::size_t queue_capacity = 1024;
   /// Master cache switch (per-request use_cache can only opt *out*).
   bool cache = true;
   /// End-to-end latency (queue wait + execution, seconds) above which a
-  /// request is reported as slow (counter and stderr log).
-  /// Negative = resolve from MSTS_SLOW_REQUEST_S; unset env = disabled.
+  /// request is reported as slow (counter and stderr log), at most 1e9; NaN
+  /// is rejected. Negative = resolve from MSTS_SLOW_REQUEST_S; unset env =
+  /// disabled.
   double slow_request_threshold_s = -1.0;
 };
 
@@ -89,6 +91,8 @@ struct Served {
 
 class SynthesisEngine {
  public:
+  /// Throws std::invalid_argument naming the first invalid option field,
+  /// before any worker thread starts.
   explicit SynthesisEngine(EngineOptions options = {});
 
   /// Drains every admitted request, then joins the workers.
@@ -110,7 +114,7 @@ class SynthesisEngine {
   /// larger than the queue capacity stream through it.
   std::vector<Served> run_batch(std::vector<SynthesisRequest> requests);
 
-  int workers() const { return workers_; }
+  int workers() const { return sched_.workers(); }
   std::size_t queue_capacity() const { return options_.queue_capacity; }
   std::size_t cache_size() const { return cache_.size(); }
 
@@ -125,13 +129,12 @@ class SynthesisEngine {
   void report_if_slow(const SynthesisRequest& request, const Served& served);
 
   EngineOptions options_;
-  int workers_ = 1;
   std::uint64_t slow_threshold_ns_ = UINT64_MAX;  ///< UINT64_MAX = disabled.
   PlanCache cache_;
   mutable std::mutex mu_;
   std::condition_variable cv_space_;
   std::size_t pending_ = 0;
-  std::unique_ptr<stats::ThreadPool> pool_;  // last member: dies first
+  stats::Scheduler sched_;  // last member: dies first
 };
 
 }  // namespace msts::service

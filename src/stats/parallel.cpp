@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "base/require.h"
 #include "obs/config.h"
@@ -22,56 +24,11 @@ int max_threads() {
   return hw >= 1 ? static_cast<int>(hw) : 1;
 }
 
-int resolve_threads(int requested) { return requested > 0 ? requested : max_threads(); }
-
-ThreadPool::ThreadPool(int workers) {
-  MSTS_REQUIRE(workers >= 1, "thread pool needs at least one worker");
-  threads_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& t : threads_) t.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  cv_work_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
+int resolve_threads(int requested) {
+  MSTS_REQUIRE(requested >= 0 && requested <= 4096,
+               "thread request must be in [0, 4096] (0 = MSTS_THREADS / hardware "
+               "concurrency), got " + std::to_string(requested));
+  return requested > 0 ? requested : max_threads();
 }
 
 void parallel_for_index(std::size_t n, int threads,

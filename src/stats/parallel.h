@@ -19,17 +19,14 @@
 // Execution substrate: parallel regions run on the process-wide
 // work-stealing Scheduler (stats/scheduler.h) — per-worker deques,
 // randomized stealing, nested submission with help-first joins. Calls made
-// from inside a scheduler task become child task-sets on the same workers
-// (no oversubscription, deadlock-free at any width); independent top-level
-// callers share the workers through the same deques.
+// from inside a scheduler task — a chunk, or a task posted to a private
+// scheduler such as the service engine's — become child task-sets on that
+// scheduler's workers (no oversubscription, deadlock-free at any width);
+// independent top-level callers share the workers through the same deques.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "stats/rng.h"
@@ -42,42 +39,11 @@ namespace msts::stats {
 /// integer in [1, 4096].
 int max_threads();
 
-/// Resolves a caller-supplied thread request: `requested` > 0 is honoured as
-/// given; 0 (the library-wide default) resolves to max_threads().
+/// Resolves a caller-supplied thread request: `requested` in [1, 4096] is
+/// honoured as given; 0 (the library-wide default) resolves to
+/// max_threads(). Throws std::invalid_argument for a negative request or one
+/// above 4096 (the range MSTS_THREADS accepts).
 int resolve_threads(int requested);
-
-/// Small fixed-size thread-pool executor. Workers are parked on a condition
-/// variable between jobs; submitted tasks run in FIFO order on whichever
-/// worker frees up first. Used through parallel_for_index() below; exposed
-/// for callers that need raw task submission.
-class ThreadPool {
- public:
-  /// Spawns `workers` worker threads (>= 1).
-  explicit ThreadPool(int workers);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int workers() const { return static_cast<int>(threads_.size()); }
-
-  /// Enqueues a task for execution on a worker thread.
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and every submitted task has finished.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> threads_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
-  bool stop_ = false;
-};
 
 /// Runs fn(i) for every i in [0, n) using up to `threads` threads (resolved
 /// via resolve_threads) on the shared work-stealing scheduler. fn must

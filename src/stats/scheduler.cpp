@@ -70,26 +70,35 @@ struct Scheduler::Worker {
 
 thread_local Scheduler::Worker* Scheduler::t_self_ = nullptr;
 
-Scheduler::Scheduler(int workers) : workers_count_(workers) {
+Scheduler::Scheduler(int workers) {
   MSTS_REQUIRE(workers >= 1, "scheduler needs at least one worker");
   deques_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) deques_.push_back(std::make_unique<Worker>());
-  pool_ = std::make_unique<ThreadPool>(workers);
-  for (int i = 0; i < workers; ++i) {
-    pool_->submit([this, i] { worker_loop(i); });
+  threads_.reserve(static_cast<std::size_t>(workers));
+  try {
+    for (int i = 0; i < workers; ++i) {
+      threads_.emplace_back([this, i] { worker_loop(i); });
+    }
+  } catch (...) {
+    // A failed thread start must not leave the started ones unjoined.
+    stop_and_join();
+    throw;
   }
 }
 
-Scheduler::~Scheduler() {
-  // No run() can be in flight here: callers hold a handle (or the owner's
-  // reference) across run(), so destruction implies quiescence. Release the
-  // workers from the idle wait and let the pool join them.
+// No run() can be in flight here: callers hold a handle (or the owner's
+// reference) across run(), so destruction implies quiescence.
+Scheduler::~Scheduler() { stop_and_join(); }
+
+void Scheduler::stop_and_join() {
+  // Release the workers from the idle wait; each exits once the posted
+  // queue is empty.
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
     stop_ = true;
   }
   idle_cv_.notify_all();
-  pool_.reset();
+  for (std::thread& t : threads_) t.join();
 }
 
 Scheduler* Scheduler::current() { return t_sched; }
@@ -111,16 +120,36 @@ void Scheduler::worker_loop(int self) {
   t_self_ = deques_[static_cast<std::size_t>(self)].get();
   for (;;) {
     if (run_one(t_self_)) continue;
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    if (stop_) break;
-    // pending_ never undercounts queued chunks (it is incremented in the
-    // same idle_mu_ critical section that pushes them), so a sleeping
-    // worker cannot miss queued work: the predicate is already true.
-    idle_cv_.wait(lock, [this] { return stop_ || pending_ > 0; });
-    if (stop_) break;
+    // No chunk was runnable: take the oldest posted task, or park.
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(idle_mu_);
+      if (posted_.empty()) {
+        if (stop_) break;
+        // pending_ never undercounts queued work (it is incremented in the
+        // same idle_mu_ critical section that queues a chunk or a posted
+        // task), so a sleeping worker cannot miss it: the predicate is
+        // already true.
+        idle_cv_.wait(lock, [this] { return stop_ || pending_ > 0; });
+        continue;
+      }
+      task = std::move(posted_.front());
+      posted_.pop_front();
+      --pending_;
+    }
+    task();
   }
   t_sched = nullptr;
   t_self_ = nullptr;
+}
+
+void Scheduler::post(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    posted_.push_back(std::move(task));
+    ++pending_;
+  }
+  idle_cv_.notify_one();
 }
 
 void Scheduler::submit_chunks(TaskSet& set, Worker* home) {

@@ -1,9 +1,9 @@
 // Deterministic work-stealing task scheduler.
 //
 // The layer between the uniform fork-join loop (stats::parallel_for_index)
-// and heterogeneous task graphs: a Scheduler owns W worker threads (hosted
-// on the existing stats::ThreadPool), each with its own double-ended task
-// queue. A run() call splits its index range into contiguous chunks and
+// and heterogeneous task graphs: a Scheduler owns W worker threads, each
+// with its own double-ended task queue. It is the only thread owner in the
+// library. A run() call splits its index range into contiguous chunks and
 // places them on the deques; workers pop their own deque from the bottom
 // (newest-first, Chase-Lev discipline: the owner works LIFO for locality)
 // while idle workers — and the blocked caller — steal from the top of a
@@ -35,41 +35,48 @@
 // wait-for graph only ever points from parent task-sets to child task-sets,
 // so it cannot cycle.
 //
-// External callers (threads that are not scheduler workers — the main
-// thread, service workers) participate the same way: run() spreads the
-// chunks round-robin over the worker deques, and the caller joins by
-// stealing. Concurrent external callers therefore *share* the workers —
-// their chunks interleave on the same deques — instead of racing separate
-// fork-join partitions.
+// External callers (threads that are not scheduler workers, such as the
+// main thread) participate the same way: run() spreads the chunks
+// round-robin over the worker deques, and the caller joins by stealing.
+// Concurrent external callers therefore *share* the workers — their chunks
+// interleave on the same deques — instead of racing separate fork-join
+// partitions.
+//
+// Detached tasks (post) wait in one FIFO queue that only an idle worker
+// reads, never a help-first join, so a run() never waits behind an
+// unrelated posted task. The service engine runs its requests this way.
 //
 // Instrumentation (msts::obs): a "sched.run" span per run() with one
 // "sched.task" child span per chunk (notes: first index, count), counters
 // sched.runs / sched.tasks / sched.steal / sched.nested_runs, and a
-// sched.queue_depth histogram sampled at every submission.
+// sched.queue_depth histogram sampled at every submission. Posted tasks
+// record nothing; their owner records its own stages.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
-
-#include "stats/parallel.h"
 
 namespace msts::stats {
 
 class Scheduler {
  public:
-  /// Spawns `workers` worker threads (>= 1) on a private ThreadPool.
+  /// Spawns `workers` worker threads (>= 1).
   explicit Scheduler(int workers);
+  /// Runs every queued posted task, then joins the workers. No run() may be
+  /// in flight.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  int workers() const { return workers_count_; }
+  int workers() const { return static_cast<int>(threads_.size()); }
 
   /// Runs fn(i) for every i in [0, n), distributing contiguous index chunks
   /// over the worker deques with randomized stealing. Blocks until every
@@ -82,6 +89,13 @@ class Scheduler {
   /// one in the *same* chunk is skipped.
   void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// Queues a detached task and returns at once. Posted tasks run in FIFO
+  /// order on a worker whose idle loop finds no runnable chunk, so they
+  /// never nest, and a run() inside one is a nested task-set on this
+  /// scheduler. The task must not throw (an escaping exception terminates
+  /// the process).
+  void post(std::function<void()> task);
+
   /// The scheduler whose task the calling thread is currently executing —
   /// set for its workers and, for a chunk's duration, for external joiners
   /// that steal while waiting — or nullptr outside any task. Nested
@@ -89,8 +103,8 @@ class Scheduler {
   /// spawning a second scheduler.
   static Scheduler* current();
 
-  /// Process-wide shared instance as a refcounted handle, mirroring the old
-  /// shared ThreadPool: a request for more workers swaps in a bigger
+  /// Process-wide shared instance as a refcounted handle, at least
+  /// `min_workers` wide: a request for more workers swaps in a bigger
   /// scheduler (counted by sched.rebuilds) while in-flight runs keep the old
   /// one alive until their top-level callers release it.
   static std::shared_ptr<Scheduler> shared(int min_workers);
@@ -101,6 +115,7 @@ class Scheduler {
   struct Worker;
 
   void worker_loop(int self);
+  void stop_and_join();
   void submit_chunks(TaskSet& set, Worker* home);
   void join(TaskSet& set, Worker* self);
   /// Pops the calling worker's own deque (bottom) or steals (top) from a
@@ -116,13 +131,13 @@ class Scheduler {
   // scheduler's workers; nullptr on external threads.
   static thread_local Worker* t_self_;
 
-  int workers_count_ = 0;
   std::vector<std::unique_ptr<Worker>> deques_;
-  std::mutex idle_mu_;                 // guards pending_/stop_, parks idlers
+  std::mutex idle_mu_;                 // guards posted_/pending_/stop_, parks idlers
   std::condition_variable idle_cv_;
-  long pending_ = 0;                   // chunks currently sitting in deques
+  std::deque<std::function<void()>> posted_;
+  long pending_ = 0;                   // queued chunks plus queued posted tasks
   bool stop_ = false;
-  std::unique_ptr<ThreadPool> pool_;   // hosts the worker loops; dies first
+  std::vector<std::thread> threads_;   // started last, joined by ~Scheduler
 };
 
 }  // namespace msts::stats

@@ -10,8 +10,8 @@
 // cross-checked by the deterministic Monte-Carlo evaluator), then ranks the
 // scenarios.
 //
-// Determinism contract: scenarios are scored in parallel over the shared
-// thread pool, one long_jump-derived RNG stream per scenario (block
+// Determinism contract: scenarios are scored in parallel on the
+// work-stealing scheduler, one long_jump-derived RNG stream per scenario (block
 // boundaries depend only on the scenario list, never on the thread count),
 // and the ranking is produced by a serial sort with a total ordering — so
 // the ranking, every score, and the result fingerprint are bit-identical

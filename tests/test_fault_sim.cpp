@@ -2,6 +2,7 @@
 #include "digital/fault_sim.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +139,21 @@ TEST(FaultSim, GoodWaveformIndependentOfFaultLoad) {
 TEST(FaultSim, RejectsEmptyStimulus) {
   SmallCircuit c = make_small();
   EXPECT_THROW(simulate_faults(c.nl, c.in, c.out, {}, {}), std::invalid_argument);
+}
+
+// A negative word count is an error naming the field, not the default width.
+TEST(FaultSim, RejectsNegativeMachineWords) {
+  SmallCircuit c = make_small();
+  const std::vector<std::int64_t> stim = {1, 3, 5};
+  const auto faults = all_faults(c.nl);
+  FaultSimOptions opts;
+  opts.machine_words = -1;
+  try {
+    (void)simulate_faults(c.nl, c.in, c.out, stim, faults, opts);
+    ADD_FAILURE() << "machine_words = -1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("machine_words"), std::string::npos) << e.what();
+  }
 }
 
 TEST(FaultSim, ResultIdenticalAcrossThreadCounts) {

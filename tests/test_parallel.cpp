@@ -82,15 +82,20 @@ TEST(Threads, MalformedEnvOverrideThrows) {
   }
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.workers(), 3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+// An explicit request outside [0, 4096] is an error, never a silent
+// fallback to max_threads(); the bound is the one MSTS_THREADS enforces.
+// The checks start no thread.
+TEST(Threads, OutOfRangeRequestThrows) {
+  for (const int bad : {-1, -64, 4097}) {
+    try {
+      (void)resolve_threads(bad);
+      ADD_FAILURE() << "request " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(bad)), std::string::npos)
+          << e.what();
+    }
   }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(resolve_threads(4096), 4096);  // resolves; nothing is spawned
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

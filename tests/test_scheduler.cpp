@@ -1,7 +1,8 @@
 // Tests for the deterministic work-stealing scheduler (stats/scheduler.h):
 // coverage at every width, help-first nested joins (deadlock-free down to a
 // single worker), deterministic lowest-index exception propagation, steal
-// accounting, shared-handle growth, and bit-identity of nested MC runs.
+// accounting, shared-handle growth, detached posted tasks, and bit-identity
+// of nested MC runs.
 //
 // Suite names start with "Sched" on purpose: the sanitizer leg's ctest
 // regex (ROADMAP) picks these up for the TSan run.
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <latch>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -175,8 +177,8 @@ TEST(SchedScheduler, ExternalJoinerStealsAndIsCounted) {
   obs::configure(saved);
 }
 
-// The shared handle mirrors the old shared-pool contract: same instance for
-// requests it can already serve, a bigger scheduler on growth, and the old
+// The shared handle's contract: same instance for requests it can already
+// serve, a bigger scheduler on growth, and the old
 // handle stays fully usable for in-flight callers.
 TEST(SchedScheduler, SharedHandleGrowsAndKeepsOldAlive) {
   const std::shared_ptr<Scheduler> a = Scheduler::shared(2);
@@ -217,6 +219,116 @@ TEST(SchedSchedulerConcurrent, ExternalCallersShareWorkers) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(bad.load(), 0);
+}
+
+// Detached tasks (Scheduler::post). A gate task holds the only worker of a
+// width-1 scheduler so that later posts are all queued at once.
+class Gate {
+ public:
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(SchedPost, RunsInFifoOrderAtWidthOne) {
+  Scheduler sched(1);
+  Gate gate;
+  sched.post([&] { gate.wait(); });
+  constexpr int kTasks = 100;
+  std::vector<int> order;  // written only by the single worker
+  std::latch done(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    sched.post([&, i] {
+      order.push_back(i);
+      done.count_down();
+    });
+  }
+  gate.open();
+  done.wait();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[i], i);
+}
+
+// A posted task runs on a worker, so a run() inside it is a nested task-set
+// on the same scheduler; at width 1 the worker drains it itself.
+TEST(SchedPost, PostedTaskThatRunsFinishesAtWidthOne) {
+  Scheduler sched(1);
+  std::atomic<int> hits{0};
+  std::atomic<bool> current_ok{false};
+  std::latch done(1);
+  sched.post([&] {
+    current_ok.store(Scheduler::current() == &sched);
+    sched.run(16, [&](std::size_t) { hits.fetch_add(1, std::memory_order_relaxed); });
+    done.count_down();
+  });
+  done.wait();
+  EXPECT_TRUE(current_ok.load());
+  EXPECT_EQ(hits.load(), 16);
+}
+
+// The destructor runs every queued posted task before joining. The gate
+// task sleeps briefly so the destructor usually starts with the rest still
+// queued; the count holds either way.
+TEST(SchedPost, DestructorRunsEveryQueuedTask) {
+  constexpr int kTasks = 64;
+  std::atomic<int> ran{0};
+  {
+    Scheduler sched(1);
+    sched.post([] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+    for (int i = 0; i < kTasks; ++i) {
+      sched.post([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+  }
+  EXPECT_EQ(ran.load(), kTasks);
+}
+
+// An external run() joiner helps with chunks only: while the only worker is
+// held by a posted task and more posted tasks are queued, the caller runs
+// every chunk itself and none of the posted tasks.
+TEST(SchedPost, ExternalJoinerNeverRunsPostedTasks) {
+  Scheduler sched(1);
+  Gate gate;
+  std::latch holding(1);
+  sched.post([&] {
+    holding.count_down();
+    gate.wait();
+  });
+  holding.wait();  // the worker is inside the gate task
+
+  constexpr int kTasks = 8;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
+  std::atomic<int> on_caller{0};
+  std::latch done(kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    sched.post([&] {
+      ran.fetch_add(1, std::memory_order_relaxed);
+      if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      done.count_down();
+    });
+  }
+  std::atomic<int> hits{0};
+  sched.run(32, [&](std::size_t) { hits.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(hits.load(), 32);
+  EXPECT_EQ(ran.load(), 0) << "the joiner took a posted task";
+
+  gate.open();
+  done.wait();
+  EXPECT_EQ(ran.load(), kTasks);
+  EXPECT_EQ(on_caller.load(), 0);
 }
 
 // parallel_for_index called from inside a scheduler task must route to the

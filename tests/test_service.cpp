@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -360,6 +361,34 @@ TEST(ServiceEngine, SynthesisErrorPropagatesThroughFuture) {
   // The engine stays usable after a failed request.
   EXPECT_NE(engine.submit(make_request()).get().result, nullptr);
   EXPECT_EQ(engine.in_flight(), 0u);
+}
+
+// Every invalid option field is rejected at construction by name, before a
+// worker thread starts (so the 4097-worker case spawns nothing).
+TEST(ServiceEngineOptions, InvalidFieldsAreRejectedByName) {
+  const auto expect_rejected = [](const EngineOptions& options, const char* field) {
+    try {
+      SynthesisEngine engine(options);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  for (const int workers : {-1, 4097}) {
+    EngineOptions options;
+    options.workers = workers;
+    expect_rejected(options, "workers");
+  }
+  EngineOptions zero_capacity;
+  zero_capacity.queue_capacity = 0;
+  expect_rejected(zero_capacity, "queue_capacity");
+  for (const double threshold : {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(), 2e9}) {
+    EngineOptions options;
+    options.workers = 1;
+    options.slow_request_threshold_s = threshold;
+    expect_rejected(options, "slow_request_threshold_s");
+  }
 }
 
 // The stress half of the determinism contract: many producer threads racing
